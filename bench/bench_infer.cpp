@@ -3,9 +3,11 @@
 // mode through the three paper detectors.
 //
 // Each sweep point scores the same deterministic feature matrix:
-//   * kernel  — "scalar" (per-row predict(), the pre-overhaul loop) vs
-//     "batched" (the cache-blocked score_batch kernels), toggled through
-//     the Classifier::set_batched_inference legacy switch;
+//   * kernel  — "scalar" (a per-row predict() loop run by the bench,
+//     inline only) vs "batched" (the model's score_batch(): cache-blocked
+//     kernels for RF and the CNN). K-Means has no batched kernel — its
+//     score_batch() is the per-row loop, which the blocked kernel it
+//     replaced never beat — so it gets no separate scalar leg;
 //   * exec    — "inline" (simulation thread) vs "offthread" (the
 //     ids::InferenceEngine SPSC worker).
 // The kernels are bit-identical by construction and the engine is FIFO,
@@ -39,6 +41,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_common.hpp"
@@ -137,10 +140,15 @@ std::vector<ml::DesignMatrix> split_batches(const ml::DesignMatrix& x, std::size
 }
 
 void score_pass_inline(const ml::Classifier& model, const std::vector<ml::DesignMatrix>& batches,
-                       ml::Verdicts* sink) {
+                       bool scalar, ml::Verdicts* sink) {
   ml::Verdicts v;
   for (const ml::DesignMatrix& b : batches) {
-    model.score_batch(b, v);
+    if (scalar) {
+      v.clear();
+      for (std::size_t i = 0; i < b.rows(); ++i) v.push_back(model.predict(b.row(i)));
+    } else {
+      model.score_batch(b, v);
+    }
     if (sink) sink->insert(sink->end(), v.begin(), v.end());
   }
 }
@@ -162,15 +170,15 @@ void score_pass_offthread(ids::InferenceEngine& engine,
   if (backpressure) *backpressure = engine.stats().backpressure_waits;
 }
 
+/// Scalar runs are inline only: the engine always calls score_batch().
 RunResult run_point(const ml::Classifier& model, const ml::DesignMatrix& eval, std::size_t batch,
-                    bool batched_kernel, bool offthread, double min_measure_seconds) {
-  ml::Classifier::set_batched_inference(batched_kernel);
+                    bool scalar, bool offthread, double min_measure_seconds) {
   const std::vector<ml::DesignMatrix> batches = split_batches(eval, batch);
 
   RunResult r;
   r.model = model.name();
   r.batch = batch;
-  r.kernel = batched_kernel ? "batched" : "scalar";
+  r.kernel = scalar ? "scalar" : "batched";
   r.exec = offthread ? "offthread" : "inline";
   r.rows_per_pass = eval.rows();
 
@@ -183,7 +191,7 @@ RunResult run_point(const ml::Classifier& model, const ml::DesignMatrix& eval, s
   if (offthread) {
     score_pass_offthread(*engine, batches, &verdicts, nullptr);
   } else {
-    score_pass_inline(model, batches, &verdicts);
+    score_pass_inline(model, batches, scalar, &verdicts);
   }
   r.verdict_checksum = checksum_verdicts(verdicts);
 
@@ -196,7 +204,7 @@ RunResult run_point(const ml::Classifier& model, const ml::DesignMatrix& eval, s
     if (offthread) {
       score_pass_offthread(*engine, batches, nullptr, &r.backpressure_waits);
     } else {
-      score_pass_inline(model, batches, nullptr);
+      score_pass_inline(model, batches, scalar, nullptr);
     }
     r.rows_scored += eval.rows();
     wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -209,8 +217,6 @@ RunResult run_point(const ml::Classifier& model, const ml::DesignMatrix& eval, s
       r.rows_scored ? cpu_delta * 1e6 / static_cast<double>(r.rows_scored) : 0.0;
   r.weight_bytes = model.parameter_bytes();
   r.peak_rss_kb = peak_rss_kb();
-
-  ml::Classifier::set_batched_inference(true);
   return r;
 }
 
@@ -443,12 +449,15 @@ int main(int argc, char** argv) {
   std::vector<RunResult> runs;
   for (const char* name : bench::kModelNames) {
     const ml::Classifier& model = models.get(name);
+    const bool has_batched_kernel = std::string_view{name} != "kmeans";
     for (const std::size_t batch : batch_sizes) {
-      for (const bool batched : {false, true}) {
-        for (const bool offthread : {false, true}) {
-          runs.push_back(run_point(model, eval, batch, batched, offthread, measure_seconds));
-          print_run(runs.back());
-        }
+      if (has_batched_kernel) {
+        runs.push_back(run_point(model, eval, batch, /*scalar=*/true, false, measure_seconds));
+        print_run(runs.back());
+      }
+      for (const bool offthread : {false, true}) {
+        runs.push_back(run_point(model, eval, batch, /*scalar=*/false, offthread, measure_seconds));
+        print_run(runs.back());
       }
     }
   }
@@ -467,7 +476,8 @@ int main(int argc, char** argv) {
   cnn_int8->set_quantized_inference(true);
   for (const std::size_t batch : batch_sizes) {
     for (const bool offthread : {false, true}) {
-      runs.push_back(run_point(*cnn_int8, eval, batch, true, offthread, measure_seconds));
+      runs.push_back(run_point(*cnn_int8, eval, batch, /*scalar=*/false, offthread,
+                               measure_seconds));
       RunResult& r = runs.back();
       r.model = "cnn-int8";
       r.kernel = "int8";
@@ -483,7 +493,6 @@ int main(int argc, char** argv) {
   // number, not a tolerance band.
   Int8Parity parity;
   {
-    ml::Classifier::set_batched_inference(true);
     ml::Verdicts float_v, int8_v;
     models.get("cnn").score_batch(eval, float_v);
     cnn_int8->score_batch(eval, int8_v);

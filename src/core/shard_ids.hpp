@@ -31,12 +31,6 @@
 //    contents are timestamp-bucketed by construction, and mitigation
 //    decisions execute at the boundary instant with byte-identical
 //    ActionLog lines.
-//
-// The legacy mode (`columnar = false`) is the A/B baseline: per-record
-// std::function sinks buffer AoS records all window and the whole fold
-// (plus row building) happens at the boundary — the O(packets)
-// close-spike the columnar path amortises. Both modes produce
-// byte-identical rows, verdicts and ActionLogs (CI-gated).
 #pragma once
 
 #include <cstdint>
@@ -65,9 +59,6 @@ namespace ddoshield::core {
 
 struct ShardIdsConfig {
   util::SimTime window = util::SimTime::millis(100);
-  /// Columnar capture + streaming accumulation (default); false = the
-  /// legacy per-record buffering baseline with fold-at-close.
-  bool columnar = true;
   /// Captured packets per columnar batch before the fold runs.
   std::size_t tap_batch_capacity = 256;
   /// Score merged windows on the InferenceEngine's dedicated thread

@@ -349,7 +349,7 @@ obs::Sampler& Testbed::enable_metrics_sampling(SimTime period) {
   cfg.until = scenario_.duration;
   sampler_ = std::make_unique<obs::Sampler>(obs::MetricsRegistry::global(), cfg);
   sampler_->add_probe("testbed.sim_pending_events", [this] {
-    return static_cast<double>(net_.simulator().pending_events());
+    return static_cast<double>(net_.simulator().events_pending());
   });
   sampler_->add_probe("testbed.uplink_queue_bytes", [this] {
     return topo_.uplink->queue_backlog_bytes(*topo_.router);

@@ -1,23 +1,8 @@
 #include "ml/classifier.hpp"
 
-#include <atomic>
-
 #include "obs/metrics.hpp"
 
 namespace ddoshield::ml {
-
-namespace {
-// Default-on, like PR 3's tuned paths; benches and tests flip it per run.
-std::atomic<bool> g_batched_inference{true};
-}  // namespace
-
-void Classifier::set_batched_inference(bool enabled) {
-  g_batched_inference.store(enabled, std::memory_order_relaxed);
-}
-
-bool Classifier::batched_inference() {
-  return g_batched_inference.load(std::memory_order_relaxed);
-}
 
 void Classifier::score_rows_scalar(const DesignMatrix& x, Verdicts& out) const {
   out.clear();

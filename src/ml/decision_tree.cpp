@@ -169,8 +169,13 @@ void DecisionTree::load(util::ByteReader& r) {
   num_classes_ = static_cast<int>(r.get_u32());
   depth_ = r.get_u64();
   const std::uint64_t count = r.get_u64();
-  nodes_.clear();
-  nodes_.reserve(count);
+  // feature, threshold, left, right, leaf_class as save() writes them.
+  constexpr std::uint64_t kNodeBytes = 4 + 8 + 4 + 4 + 4;
+  if (count > r.remaining() / kNodeBytes) {
+    throw std::invalid_argument("DecisionTree::load: node count exceeds the payload");
+  }
+  std::vector<Node> nodes;
+  nodes.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Node n;
     n.feature = static_cast<std::int32_t>(r.get_u32());
@@ -178,8 +183,19 @@ void DecisionTree::load(util::ByteReader& r) {
     n.left = static_cast<std::int32_t>(r.get_u32());
     n.right = static_cast<std::int32_t>(r.get_u32());
     n.leaf_class = static_cast<std::int32_t>(r.get_u32());
-    nodes_.push_back(n);
+    // build() writes nodes in preorder, so a saved tree's children always
+    // follow their parent inside the array. Holding every internal node
+    // to that rule keeps predict() in bounds and free of cycles.
+    const bool internal = n.feature >= 0 && n.left >= 0 && n.right >= 0;
+    const auto child_ok = [&](std::int32_t c) {
+      return static_cast<std::uint64_t>(c) > i && static_cast<std::uint64_t>(c) < count;
+    };
+    if (internal && !(child_ok(n.left) && child_ok(n.right))) {
+      throw std::invalid_argument("DecisionTree::load: child index out of range");
+    }
+    nodes.push_back(n);
   }
+  nodes_ = std::move(nodes);
 }
 
 std::uint64_t DecisionTree::byte_size() const { return nodes_.size() * sizeof(Node); }

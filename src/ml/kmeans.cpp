@@ -154,7 +154,6 @@ void KMeansDetector::fit(const DesignMatrix& x, const std::vector<int>& y) {
   for (std::size_t c = 0; c < centroids_.size(); ++c) {
     cluster_labels_[c] = class_counts[c][1] > class_counts[c][0] ? 1 : 0;
   }
-  rebuild_flat();
 }
 
 bool KMeansDetector::incremental_update(const DesignMatrix& x, const std::vector<int>& y,
@@ -204,7 +203,6 @@ bool KMeansDetector::incremental_update(const DesignMatrix& x, const std::vector
     if (class_counts[c][0] + class_counts[c][1] == 0) continue;
     cluster_labels_[c] = class_counts[c][1] > class_counts[c][0] ? 1 : 0;
   }
-  rebuild_flat();
   return true;
 }
 
@@ -213,56 +211,6 @@ void KMeansDetector::adopt_deployment(const Classifier& reference) {
     // Config only steers fit/refresh — the serialized centroids carry
     // the fitted state — so a wholesale copy is safe.
     config_ = km->config_;
-  }
-}
-
-void KMeansDetector::rebuild_flat() {
-  centroid_flat_.clear();
-  for (const auto& c : centroids_) centroid_flat_.insert(centroid_flat_.end(), c.begin(), c.end());
-}
-
-void KMeansDetector::score_batch(const DesignMatrix& x, Verdicts& out) const {
-  if (centroids_.empty()) throw std::logic_error("KMeansDetector::score_batch: not trained");
-  if (!batched_inference()) {
-    score_rows_scalar(x, out);
-    return;
-  }
-
-  const std::size_t n = x.rows();
-  const std::size_t dims = scaler_.mean().size();
-  const std::size_t k = centroids_.size();
-  out.assign(n, 0);
-
-  constexpr std::size_t kRowBlock = 32;
-  std::vector<double> scaled(kRowBlock * dims);
-  std::vector<double> best(kRowBlock);
-  std::vector<std::size_t> best_c(kRowBlock);
-
-  for (std::size_t base = 0; base < n; base += kRowBlock) {
-    const std::size_t bn = std::min(kRowBlock, n - base);
-    for (std::size_t r = 0; r < bn; ++r) {
-      scaler_.transform_into(x.row(base + r), {scaled.data() + r * dims, dims});
-    }
-    std::fill(best.begin(), best.begin() + static_cast<std::ptrdiff_t>(bn),
-              std::numeric_limits<double>::max());
-    std::fill(best_c.begin(), best_c.begin() + static_cast<std::ptrdiff_t>(bn), 0);
-    for (std::size_t c = 0; c < k; ++c) {
-      const double* cen = centroid_flat_.data() + c * dims;
-      for (std::size_t r = 0; r < bn; ++r) {
-        const double* row = scaled.data() + r * dims;
-        double d = 0.0;
-        for (std::size_t i = 0; i < dims; ++i) {
-          const double diff = row[i] - cen[i];
-          d += diff * diff;
-        }
-        // Strict < keeps the scalar path's first-minimum tie-break.
-        if (d < best[r]) {
-          best[r] = d;
-          best_c[r] = c;
-        }
-      }
-    }
-    for (std::size_t r = 0; r < bn; ++r) out[base + r] = cluster_labels_[best_c[r]];
   }
 }
 
@@ -310,7 +258,6 @@ void KMeansDetector::load(util::ByteReader& r) {
   if (centroids_.size() != cluster_labels_.size()) {
     throw std::invalid_argument("KMeansDetector::load: inconsistent model file");
   }
-  rebuild_flat();
 }
 
 std::uint64_t KMeansDetector::parameter_bytes() const {

@@ -43,14 +43,6 @@ class KMeansDetector : public Classifier {
   std::string name() const override { return "kmeans"; }
   void fit(const DesignMatrix& x, const std::vector<int>& y) override;
   int predict(std::span<const double> row) const override;
-  /// Batched kernel: scales a block of rows once into reusable scratch
-  /// (no per-row allocation), then sweeps the contiguous hoisted centroid
-  /// array centroid-outer / row-inner so each centroid is loaded once per
-  /// block. The per-(row, centroid) distance keeps the scalar path's
-  /// dimension-ascending accumulation — a norm-factorised ‖x‖²−2x·c+‖c‖²
-  /// formulation was rejected because its different rounding can flip
-  /// near-tie argmins — so verdicts are bit-identical to predict().
-  void score_batch(const DesignMatrix& x, Verdicts& out) const override;
   /// Lifecycle retrain: a few plain Lloyd iterations from the *current*
   /// centroids over the replay batch, then a majority-class relabel.
   /// The serving scaler is deliberately frozen — refitting it would
@@ -78,14 +70,10 @@ class KMeansDetector : public Classifier {
 
  private:
   std::size_t nearest_cluster(std::span<const double> scaled_row) const;
-  /// Packs centroids_ into one contiguous (k × dims) array — the batched
-  /// kernel's layout — after fit() and load().
-  void rebuild_flat();
 
   KMeansConfig config_;
   StandardScaler scaler_;
   std::vector<std::vector<double>> centroids_;
-  std::vector<double> centroid_flat_;  // k × dims, row-major
   std::vector<double> proportions_;
   std::vector<int> cluster_labels_;  // majority class per cluster
 };

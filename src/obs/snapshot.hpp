@@ -1,6 +1,7 @@
 // JSON snapshot of a MetricsRegistry — the BENCH_*.json artifact format.
 //
-// Two schema generations (DESIGN.md §11 documents the migration):
+// Two schema generations (DESIGN.md §11 documents the migration); the
+// registry writer emits v2, and v1 survives as a read/re-write format:
 //   v1 ("ddoshield-metrics-v1") — counters / gauges / histograms, with
 //     p50/p90/p99 per histogram. The PR-1 goldens pin these bytes.
 //   v2 ("ddoshield-metrics-v2") — v1 plus a "p999" field per histogram and
@@ -33,21 +34,14 @@ namespace ddoshield::obs {
 
 class LatencyTracker;
 
-enum class SnapshotVersion {
-  kV1,  // legacy golden format: no p999, no latency section
-  kV2,  // current: p999 per histogram + latency section
-};
-
-/// Writes the registry as JSON. With kV2 and a non-null `latency`, the
+/// Writes the registry as v2 JSON. With a non-null `latency`, the
 /// tracker's series are emitted in the "latency" section; a null tracker
 /// emits an empty section (the schema is stable either way).
 void write_json_snapshot(const MetricsRegistry& registry, std::ostream& out,
-                         SnapshotVersion version = SnapshotVersion::kV2,
                          const LatencyTracker* latency = nullptr);
 
 /// Convenience file form. Returns false if the file cannot be opened.
 bool write_json_snapshot_file(const MetricsRegistry& registry, const std::string& path,
-                              SnapshotVersion version = SnapshotVersion::kV2,
                               const LatencyTracker* latency = nullptr);
 
 // --- parsed snapshot --------------------------------------------------------

@@ -336,6 +336,68 @@ TEST(DecisionTreeTest, SerializationRoundTrip) {
   }
 }
 
+// One serialized tree node in save()'s field order.
+void put_tree_node(util::ByteWriter& w, std::uint32_t feature, std::uint32_t left,
+                   std::uint32_t right) {
+  w.put_u32(feature);
+  w.put_f64(0.5);
+  w.put_u32(left);
+  w.put_u32(right);
+  w.put_u32(0);
+}
+
+// A one-node tree whose internal root points its children past the node
+// array: before load() checked child indices, predict() read out of
+// bounds on it (ASan heap-buffer-overflow).
+void put_tree_with_children_past_the_end(util::ByteWriter& w) {
+  w.put_u32(2);  // classes
+  w.put_u64(1);  // depth
+  w.put_u64(1);  // node count
+  put_tree_node(w, 0, 1, 2);
+}
+
+TEST(DecisionTreeTest, LoadRejectsChildrenPastTheNodeArray) {
+  util::ByteWriter w;
+  put_tree_with_children_past_the_end(w);
+  DecisionTree tree;
+  util::ByteReader r{w.bytes()};
+  EXPECT_THROW(tree.load(r), std::invalid_argument);
+
+  util::ByteWriter forest;
+  forest.put_u32(2);  // classes
+  forest.put_u64(1);  // trees
+  put_tree_with_children_past_the_end(forest);
+  RandomForest rf;
+  util::ByteReader fr{forest.bytes()};
+  EXPECT_THROW(rf.load(fr), std::invalid_argument);
+}
+
+TEST(DecisionTreeTest, LoadRejectsSelfLoopsAndOversizedCounts) {
+  {
+    // Root whose left child is itself: predict() would spin forever.
+    util::ByteWriter w;
+    w.put_u32(2);
+    w.put_u64(1);
+    w.put_u64(2);
+    put_tree_node(w, 0, 0, 1);
+    put_tree_node(w, 0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu);
+    DecisionTree tree;
+    util::ByteReader r{w.bytes()};
+    EXPECT_THROW(tree.load(r), std::invalid_argument);
+  }
+  {
+    // A node count the payload cannot hold must not reach reserve().
+    util::ByteWriter w;
+    w.put_u32(2);
+    w.put_u64(1);
+    w.put_u64(std::uint64_t{1} << 60);
+    put_tree_node(w, 0xFFFFFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu);
+    DecisionTree tree;
+    util::ByteReader r{w.bytes()};
+    EXPECT_THROW(tree.load(r), std::invalid_argument);
+  }
+}
+
 // --------------------------------------------------------------------------
 // RandomForest
 // --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Tests for the discrete-event engine, links, nodes/routing, and UDP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "net/address.hpp"
@@ -128,30 +130,30 @@ TEST(SimulatorTest, CountsExecutedEvents) {
 // Calendar-queue backend (the default scheduler)
 // --------------------------------------------------------------------------
 
-// Identical interleavings on both backends, including mixed bucket/spill
-// horizons and same-timestamp FIFO ties.
+// The calendar queue pops in exact (when, insertion index) order — what a
+// binary heap on that key, or a stable sort by time, yields — across mixed
+// bucket/spill horizons and same-timestamp FIFO ties.
 TEST(CalendarQueueTest, OrderMatchesBinaryHeapAcrossHorizons) {
   const std::vector<std::int64_t> delays_us = {
       500,        300,        300,       7'000'000,  12,         999'999,   5'000'000'000,
       4'095'999,  4'096'000,  4'097'000, 80'000'000, 80'000'000, 1,         0,
       33'000'000, 64'000'000, 2'500,     2'500,      2'500,      123'456'789};
-  auto run = [&](SchedulerKind kind) {
-    Simulator sim{kind};
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < delays_us.size(); ++i) {
-      sim.schedule(SimTime::micros(delays_us[i]), [&order, i] { order.push_back(i); });
-    }
-    sim.run_all();
-    return order;
-  };
-  const auto calendar = run(SchedulerKind::kCalendar);
-  const auto heap = run(SchedulerKind::kBinaryHeap);
-  EXPECT_EQ(calendar, heap);
-  EXPECT_EQ(calendar.size(), delays_us.size());
+  Simulator sim;
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < delays_us.size(); ++i) {
+    sim.schedule(SimTime::micros(delays_us[i]), [&order, i] { order.push_back(i); });
+  }
+  sim.run_all();
+
+  std::vector<std::size_t> expected(delays_us.size());
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::size_t a, std::size_t b) { return delays_us[a] < delays_us[b]; });
+  EXPECT_EQ(order, expected);
 }
 
 TEST(CalendarQueueTest, FarFutureEventsSpillOverAndMigrateBack) {
-  Simulator sim{SchedulerKind::kCalendar};
+  Simulator sim;
   // The wheel covers ~4.1 s; a 60 s timer must sit in the spillover heap
   // until the wheel fast-forwards to it.
   int ran = 0;
@@ -167,7 +169,7 @@ TEST(CalendarQueueTest, FarFutureEventsSpillOverAndMigrateBack) {
 }
 
 TEST(CalendarQueueTest, CancellationWorksInBucketsAndOverflow) {
-  Simulator sim{SchedulerKind::kCalendar};
+  Simulator sim;
   bool near_ran = false;
   bool far_ran = false;
   auto near = sim.schedule(SimTime::millis(2), [&] { near_ran = true; });
@@ -192,21 +194,19 @@ TEST(CalendarQueueTest, PostedEventsRunWithoutHandles) {
 }
 
 TEST(CalendarQueueTest, HighWaterAndPendingTrackBothBackends) {
-  for (SchedulerKind kind : {SchedulerKind::kCalendar, SchedulerKind::kBinaryHeap}) {
-    Simulator sim{kind};
-    for (int i = 0; i < 32; ++i) sim.schedule(SimTime::millis(1 + i % 3), [] {});
-    EXPECT_EQ(sim.pending_events(), 32u);
-    EXPECT_EQ(sim.queue_high_water(), 32u);
-    sim.run_all();
-    EXPECT_EQ(sim.pending_events(), 0u);
-    EXPECT_EQ(sim.queue_high_water(), 32u);
-    EXPECT_EQ(sim.events_executed(), 32u);
-    EXPECT_EQ(sim.time_regressions(), 0u);
-  }
+  Simulator sim;
+  for (int i = 0; i < 32; ++i) sim.schedule(SimTime::millis(1 + i % 3), [] {});
+  EXPECT_EQ(sim.events_pending(), 32u);
+  EXPECT_EQ(sim.queue_high_water(), 32u);
+  sim.run_all();
+  EXPECT_EQ(sim.events_pending(), 0u);
+  EXPECT_EQ(sim.queue_high_water(), 32u);
+  EXPECT_EQ(sim.events_executed(), 32u);
+  EXPECT_EQ(sim.time_regressions(), 0u);
 }
 
 TEST(CalendarQueueTest, ClearDropsBucketAndOverflowEvents) {
-  Simulator sim{SchedulerKind::kCalendar};
+  Simulator sim;
   int ran = 0;
   sim.schedule(SimTime::millis(1), [&] { ++ran; });
   sim.schedule(SimTime::seconds(20), [&] { ++ran; });
@@ -214,16 +214,6 @@ TEST(CalendarQueueTest, ClearDropsBucketAndOverflowEvents) {
   EXPECT_EQ(sim.events_pending(), 0u);
   sim.run_all();
   EXPECT_EQ(ran, 0);
-}
-
-TEST(CalendarQueueTest, DefaultSchedulerIsProcessWide) {
-  EXPECT_EQ(Simulator::default_scheduler(), SchedulerKind::kCalendar);
-  Simulator::set_default_scheduler(SchedulerKind::kBinaryHeap);
-  Simulator heap_sim;
-  EXPECT_EQ(heap_sim.scheduler_kind(), SchedulerKind::kBinaryHeap);
-  Simulator::set_default_scheduler(SchedulerKind::kCalendar);
-  Simulator cal_sim;
-  EXPECT_EQ(cal_sim.scheduler_kind(), SchedulerKind::kCalendar);
 }
 
 // --------------------------------------------------------------------------
@@ -402,25 +392,45 @@ TEST(StarTopologyTest, RouteCacheMatchesLinearScanAndInvalidates) {
   // Enough devices that the router's table crosses the cache threshold.
   Network net;
   StarTopology topo = build_star_topology(net, StarTopologyConfig{.device_count = 12});
-  ASSERT_TRUE(Node::route_cache_enabled());
+  // An overlapping /16 over the device /32s, so longest-prefix wins matter.
+  topo.router->add_route(Ipv4Address{10, 1, 0, 0}, 16, 0);
 
-  std::vector<Ipv4Address> dsts{topo.tserver->address(), topo.attacker->address()};
+  // The router's table as build_star_topology wrote it, scanned the plain
+  // longest-prefix way.
+  struct Route {
+    Ipv4Address prefix;
+    int len;
+    int ifindex;
+  };
+  std::vector<Route> table{{Ipv4Address{10, 0, 1, 0}, 24, 0}, {topo.attacker->address(), 32, 1}};
+  for (std::size_t i = 0; i < topo.devices.size(); ++i) {
+    table.push_back({topo.devices[i]->address(), 32, static_cast<int>(2 + i)});
+  }
+  table.push_back({Ipv4Address{10, 1, 0, 0}, 16, 0});
+  const auto scan = [&](Ipv4Address dst) {
+    int best = -1;
+    int best_len = -1;
+    for (const Route& r : table) {
+      if (dst.same_subnet(r.prefix, r.len) && r.len > best_len) {
+        best = r.ifindex;
+        best_len = r.len;
+      }
+    }
+    return best;
+  };
+
+  std::vector<Ipv4Address> dsts{topo.tserver->address(), topo.attacker->address(),
+                                Ipv4Address{10, 0, 1, 77}, Ipv4Address{10, 1, 3, 3}};
   for (Node* dev : topo.devices) dsts.push_back(dev->address());
   dsts.push_back(Ipv4Address{192, 168, 9, 9});  // no route: default or -1
 
   // Cached and scan results must agree for every destination — twice, so
   // the second pass reads populated cache slots.
-  std::vector<int> cached;
   for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& dst : dsts) cached.push_back(topo.router->route_lookup(dst));
+    for (const auto& dst : dsts) {
+      EXPECT_EQ(topo.router->route_lookup(dst), scan(dst)) << dst.to_string() << " pass " << pass;
+    }
   }
-  Node::set_route_cache_enabled(false);
-  std::vector<int> scanned;
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& dst : dsts) scanned.push_back(topo.router->route_lookup(dst));
-  }
-  Node::set_route_cache_enabled(true);
-  EXPECT_EQ(cached, scanned);
 
   // Adding a route must invalidate cached entries: the previously cached
   // unknown destination now resolves through the new more-specific route.

@@ -689,24 +689,54 @@ void fill_golden_fixture_registry(MetricsRegistry& reg) {
   reg.histogram("empty.histogram");
 }
 
-// Pins the exact bytes of the "ddoshield-metrics-v1" schema. The default
-// writer moved to v2, but v1 stays requestable and byte-stable — existing
-// consumers of old BENCH_*.json snapshots rely on it. If this test fails
-// because the format intentionally changed, bump the schema string and
-// regenerate the golden file from the failure output.
+std::string read_v1_golden() {
+  const std::string path = std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v1.json";
+  std::ifstream in{path};
+  EXPECT_TRUE(in.is_open()) << "missing golden file: " << path;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  return golden.str();
+}
+
+// Pins the exact bytes of the "ddoshield-metrics-v1" schema. The registry
+// writer emits v2 only, but old BENCH_*.json snapshots are v1: reading one
+// and re-writing the parsed data must reproduce it byte for byte, and the
+// golden must still describe the same fixture the v2 writer serializes.
 TEST(SnapshotTest, MatchesGoldenFile) {
+  const std::string golden = read_v1_golden();
+  SnapshotData v1;
+  std::istringstream in{golden};
+  ASSERT_TRUE(read_json_snapshot(in, v1));
+  EXPECT_EQ(v1.schema, "ddoshield-metrics-v1");
+  std::ostringstream rewritten;
+  write_json_snapshot(v1, rewritten);
+  EXPECT_EQ(rewritten.str(), golden);
+
   MetricsRegistry reg;
   fill_golden_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV1);
-
-  const std::string path = std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v1.json";
-  std::ifstream in{path};
-  ASSERT_TRUE(in.is_open()) << "missing golden file: " << path;
-  std::ostringstream golden;
-  golden << in.rdbuf();
-
-  EXPECT_EQ(os.str(), golden.str());
+  write_json_snapshot(reg, os);
+  SnapshotData v2;
+  std::istringstream v2_in{os.str()};
+  ASSERT_TRUE(read_json_snapshot(v2_in, v2));
+  EXPECT_EQ(v1.counters, v2.counters);
+  ASSERT_EQ(v1.gauges.size(), v2.gauges.size());
+  for (const auto& [name, g] : v2.gauges) {
+    EXPECT_EQ(v1.gauges.at(name).value, g.value) << name;
+    EXPECT_EQ(v1.gauges.at(name).high_water, g.high_water) << name;
+  }
+  ASSERT_EQ(v1.histograms.size(), v2.histograms.size());
+  for (const auto& [name, h] : v2.histograms) {
+    const SnapshotHistogram& old = v1.histograms.at(name);
+    EXPECT_EQ(old.count, h.count) << name;
+    EXPECT_EQ(old.sum, h.sum) << name;
+    EXPECT_EQ(old.min, h.min) << name;
+    EXPECT_EQ(old.max, h.max) << name;
+    EXPECT_EQ(old.mean, h.mean) << name;
+    EXPECT_EQ(old.p50, h.p50) << name;
+    EXPECT_EQ(old.p90, h.p90) << name;
+    EXPECT_EQ(old.p99, h.p99) << name;
+  }
 }
 
 // Same fixture, v2 writer with a latency tracker attached: pins the v2
@@ -720,7 +750,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2) {
   lat.series("flight.empty_series");
 
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2, &lat);
+  write_json_snapshot(reg, os, &lat);
 
   const std::string path = std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2.json";
   std::ifstream in{path};
@@ -758,7 +788,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2Lifecycle) {
   MetricsRegistry reg;
   fill_lifecycle_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2);
+  write_json_snapshot(reg, os);
 
   const std::string path =
       std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2_lifecycle.json";
@@ -792,7 +822,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2CaptureBatch) {
   MetricsRegistry reg;
   fill_capture_batch_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2);
+  write_json_snapshot(reg, os);
 
   const std::string path =
       std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2_capture.json";
@@ -884,7 +914,7 @@ TEST(SnapshotTest, MatchesGoldenFileV2Telemetry) {
   MetricsRegistry reg;
   fill_telemetry_fixture_registry(reg);
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2);
+  write_json_snapshot(reg, os);
 
   const std::string path =
       std::string{DDOS_TEST_DATA_DIR} + "/golden/metrics_snapshot_v2_telemetry.json";
@@ -931,11 +961,7 @@ TEST(SnapshotTest, PreTelemetryV2SnapshotsStillRead) {
 // --------------------------------------------------------------------------
 
 TEST(SnapshotTest, ReaderRoundTripsV1Bytes) {
-  MetricsRegistry reg;
-  fill_golden_fixture_registry(reg);
-  std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV1);
-  const std::string original = os.str();
+  const std::string original = read_v1_golden();
 
   SnapshotData data;
   std::istringstream in{original};
@@ -962,7 +988,7 @@ TEST(SnapshotTest, ReaderRoundTripsV2Bytes) {
   for (std::uint64_t v : {1ull, 100ull, 10000ull}) series.observe(v);
 
   std::ostringstream os;
-  write_json_snapshot(reg, os, SnapshotVersion::kV2, &lat);
+  write_json_snapshot(reg, os, &lat);
   const std::string original = os.str();
 
   SnapshotData data;
@@ -1041,7 +1067,7 @@ TEST(WiringTest, SimulatorChargesGlobalCounters) {
   EXPECT_EQ(reg.counter("net.sim.events_executed").value() - executed_before, 5u);
   EXPECT_EQ(reg.counter("net.sim.events_cancelled").value() - cancelled_before, 1u);
   EXPECT_EQ(sim.queue_high_water(), 6u);
-  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.events_pending(), 0u);
 }
 
 }  // namespace

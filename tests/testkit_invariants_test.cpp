@@ -202,34 +202,6 @@ TEST(InvariantsTest, NewIssOpensFreshEpoch) {
   EXPECT_EQ(report.packets_checked, 5u);
 }
 
-// One pinned fuzz seed, replayed through the full pipeline on both
-// scheduler backends: the event logs must be byte-identical. This is the
-// guarantee that lets the calendar queue replace the binary heap — any
-// ordering divergence between the backends shows up as a digest mismatch.
-TEST(InvariantsTest, SchedulerBackendsProduceIdenticalEventLogs) {
-  constexpr std::uint64_t kPinnedSeed = 0xDD05'51E1Dull;
-
-  auto run_with = [](net::SchedulerKind kind) {
-    const net::SchedulerKind previous = net::Simulator::default_scheduler();
-    net::Simulator::set_default_scheduler(kind);
-    FuzzResult result = Fuzzer{}.run(kPinnedSeed);
-    net::Simulator::set_default_scheduler(previous);
-    return result;
-  };
-
-  const FuzzResult calendar = run_with(net::SchedulerKind::kCalendar);
-  const FuzzResult heap = run_with(net::SchedulerKind::kBinaryHeap);
-
-  EXPECT_TRUE(calendar.ok()) << calendar.invariants.summary();
-  EXPECT_TRUE(heap.ok()) << heap.invariants.summary();
-  EXPECT_GT(calendar.log.size(), 0u);
-  EXPECT_EQ(calendar.log.size(), heap.log.size());
-  EXPECT_EQ(calendar.log.digest(), heap.log.digest());
-  EXPECT_EQ(calendar.events_executed, heap.events_executed);
-  EXPECT_EQ(calendar.packets_tapped, heap.packets_tapped);
-  EXPECT_EQ(calendar.end_time, heap.end_time);
-}
-
 TEST(InvariantsTest, MetricsSelfConsistencyAcceptsHealthyRegistry) {
   auto& reg = obs::MetricsRegistry::global();
   auto& h = reg.histogram("testkit.invariants_test.latency");
