@@ -3,6 +3,9 @@
 // rates, and conservation invariants on links and nodes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "botnet/floods.hpp"
 #include "net/network.hpp"
 #include "net/tcp.hpp"
@@ -15,16 +18,28 @@ namespace {
 using util::Rng;
 using util::SimTime;
 
+// gtest names each case of the sweeps below by the raw bytes of its
+// parameter (the parameter structs have no PrintTo). Compiler padding in
+// those structs held whatever the stack did (canary, addresses), so the test
+// names changed from run to run. The would-be padding is therefore spelled
+// out as `filler` fields, set to the bytes the names were first recorded
+// with, and every struct is checked to have no padding left.
+using Filler4 = std::array<std::uint8_t, 4>;
+using Filler7 = std::array<std::uint8_t, 7>;
+
 // --------------------------------------------------------------------------
 // TCP bulk transfers complete exactly across sizes and link regimes.
 // --------------------------------------------------------------------------
 
 struct TransferParams {
   std::uint32_t bytes;
+  Filler4 filler;
   double rate_bps;
   std::int64_t delay_ms;
   std::uint32_t queue_bytes;
+  Filler4 tail{};
 };
+static_assert(sizeof(TransferParams) == 32, "TransferParams must have no padding");
 
 class TcpTransferSweep : public ::testing::TestWithParam<TransferParams> {};
 
@@ -61,13 +76,13 @@ TEST_P(TcpTransferSweep, DeliversExactByteCount) {
 INSTANTIATE_TEST_SUITE_P(
     SizesAndLinks, TcpTransferSweep,
     ::testing::Values(
-        TransferParams{1, 10e6, 1, 64 * 1024},            // single byte
-        TransferParams{1460, 10e6, 1, 64 * 1024},         // exactly one MSS
-        TransferParams{1461, 10e6, 1, 64 * 1024},         // one MSS + 1
-        TransferParams{100'000, 10e6, 1, 64 * 1024},      // medium
-        TransferParams{1'000'000, 100e6, 5, 256 * 1024},  // fast fat link
-        TransferParams{500'000, 2e6, 20, 16 * 1024},      // slow lossy link
-        TransferParams{250'000, 5e6, 50, 8 * 1024}));     // long RTT tiny queue
+        TransferParams{1, {}, 10e6, 1, 64 * 1024},        // single byte
+        TransferParams{1460, {}, 10e6, 1, 64 * 1024},     // exactly one MSS
+        TransferParams{1461, {0x5F, 0x70, 0x72, 0x6F}, 10e6, 1, 64 * 1024},  // one MSS + 1
+        TransferParams{100'000, {}, 10e6, 1, 64 * 1024},  // medium
+        TransferParams{1'000'000, {0x00, 0x00, 0xD0, 0xEF}, 100e6, 5, 256 * 1024},  // fast fat link
+        TransferParams{500'000, {}, 2e6, 20, 16 * 1024},  // slow lossy link
+        TransferParams{250'000, {0x00, 0x00, 0xD0, 0xCA}, 5e6, 50, 8 * 1024}));  // long RTT tiny queue
 
 // --------------------------------------------------------------------------
 // Flood vectors hit the victim at roughly the configured rate.
@@ -75,9 +90,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct FloodParams {
   botnet::AttackType type;
+  Filler7 filler;
   double pps;
   bool spoof;
+  Filler7 tail{};
 };
+static_assert(sizeof(FloodParams) == 24, "FloodParams must have no padding");
 
 class FloodSweep : public ::testing::TestWithParam<FloodParams> {};
 
@@ -116,12 +134,16 @@ TEST_P(FloodSweep, EmissionRateAndLabels) {
 
 INSTANTIATE_TEST_SUITE_P(
     VectorsAndRates, FloodSweep,
-    ::testing::Values(FloodParams{botnet::AttackType::kSynFlood, 200, false},
-                      FloodParams{botnet::AttackType::kSynFlood, 2000, true},
-                      FloodParams{botnet::AttackType::kAckFlood, 500, false},
-                      FloodParams{botnet::AttackType::kAckFlood, 1500, true},
-                      FloodParams{botnet::AttackType::kUdpFlood, 300, false},
-                      FloodParams{botnet::AttackType::kUdpFlood, 2500, false}));
+    ::testing::Values(
+        FloodParams{botnet::AttackType::kSynFlood, {}, 200, false},
+        FloodParams{botnet::AttackType::kSynFlood, {0xC8, 0x02, 0x43, 0x73, 0x30, 0xB2, 0x01}, 2000,
+                    true},
+        FloodParams{botnet::AttackType::kAckFlood, {}, 500, false},
+        FloodParams{botnet::AttackType::kAckFlood, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 1500,
+                    true},
+        FloodParams{botnet::AttackType::kUdpFlood, {}, 300, false},
+        FloodParams{botnet::AttackType::kUdpFlood, {0x4F, 0xD1, 0x62, 0xBE, 0x7F, 0x00, 0x00}, 2500,
+                    false}));
 
 // --------------------------------------------------------------------------
 // Conservation invariants
