@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "features/schema.hpp"
-#include "features/window_stats.hpp"
 #include "ml/design_matrix.hpp"
 #include "obs/domain.hpp"
 #include "obs/metrics.hpp"
@@ -26,26 +24,17 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 
 }  // namespace
 
-// Per-tap capture state. The batch sink members are touched by the owning
-// shard's thread during window execution and by shard 0's thread inside
-// the sync hook — never concurrently (the hook runs with every other
-// shard parked at a barrier, which also publishes the writes).
+// Per-tap capture state. The window buffer is touched by the owning
+// shard's thread during window execution (the tap's batch sink) and by
+// shard 0's thread inside the sync hook — never concurrently (the hook
+// runs with every other shard parked at a barrier, which also publishes
+// the writes).
 struct ShardIdsPipeline::TapState final : capture::BatchSink {
-  explicit TapState(const capture::TapConfig& tc) : tap{tc} {
-    acc.set_canonical_ties(true);
-  }
-
-  void on_batch(const capture::RecordBatch& batch) override {
-    // Columnar fold-at-flush: the window's statistics accumulate on the
-    // shard thread, amortised across the window, leaving the boundary an
-    // O(uniques) finalize.
-    for (std::size_t i = 0; i < batch.size(); ++i) wbuf.append_row(batch, i);
-    acc.add_batch(batch);
-  }
+  explicit TapState(const capture::TapConfig& tc) : tap{tc} {}
+  void on_batch(const capture::RecordBatch& batch) override { window.add_batch(batch); }
 
   capture::PacketTap tap;
-  capture::RecordBatch wbuf;        // open window, struct-of-arrays
-  features::WindowAccumulator acc;  // streaming fold (canonical ties)
+  features::WindowBuffer window{features::WindowBuffer::Order::kCanonical};
 };
 
 ShardIdsPipeline::ShardIdsPipeline(ShardedSim& sim, const ml::Classifier& model,
@@ -75,6 +64,7 @@ capture::PacketTap& ShardIdsPipeline::add_tap(std::size_t shard) {
     state = std::make_unique<TapState>(tc);
   }
   state->tap.add_batch_sink(state.get());
+  tap_windows_.push_back(&state->window);
   taps_.push_back(std::move(state));
   return taps_.back()->tap;
 }
@@ -134,7 +124,7 @@ void ShardIdsPipeline::flush(util::SimTime now) {
   if (!armed_) return;
   for (auto& t : taps_) t->tap.flush_batch();
   std::uint64_t pending = 0;
-  for (auto& t : taps_) pending += t->wbuf.size();
+  for (const auto* w : tap_windows_) pending += w->size();
   if (pending == 0) return;  // aligned end: the hook already closed it
   close_window(now, static_cast<std::uint64_t>(now.ns() / config_.window.ns()));
 }
@@ -143,8 +133,8 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   const auto wall0 = std::chrono::steady_clock::now();
 
   // 1. Pull the boundary's partial batches so every captured record of the
-  //    closing window is in wbuf/acc — arrival-order bucketing, same as
-  //    the flat IDS's flush-at-tick.
+  //    closing window is in the tap buffers — arrival-order bucketing,
+  //    same as the flat IDS's flush-at-tick.
   for (auto& t : taps_) t->tap.flush_batch();
 
   // ACL expiry runs every boundary, events only for non-empty windows —
@@ -152,42 +142,29 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   if (config_.mitigation) policy_.expire_acls(now.ns(), index);
 
   std::uint64_t rows = 0;
-  for (auto& t : taps_) rows += t->wbuf.size();
+  std::vector<std::int64_t> lags;
+  for (const auto* w : tap_windows_) {
+    rows += w->size();
+    const capture::RecordBatch& records = w->records();
+    for (std::size_t i = 0; i < records.size(); ++i)
+      if (records.is_malicious(i)) lags.push_back(now.ns() - records.timestamp_ns()[i]);
+  }
   if (rows == 0) return;
 
   // 2. Merge the per-tap partials in tap creation order (the pinned merge
-  //    order Chan's Welford combination needs) and finalize once.
-  features::WindowAccumulator merged{rows};
-  for (auto& t : taps_) {
-    t->acc.flush_ties();
-    merged.merge_from(t->acc);
-  }
-  const features::WindowStats stats = merged.finalize(config_.window);
-
-  // 3. Emit rows per tap in canonical batch order: capture order with
+  //    order Chan's Welford combination needs), finalize once, and emit
+  //    rows per tap in canonical batch order: capture order with
   //    same-nanosecond runs content-sorted — the one layout-dependent
   //    degree of freedom, erased.
+  features::ClosedWindow closed = features::close_window(tap_windows_, config_.window);
   ml::DesignMatrix x{features::kFeatureCount};
   x.reserve(rows);
-  std::vector<int> truths;
-  std::vector<std::uint32_t> srcs;
-  std::vector<std::int64_t> lags;
-  truths.reserve(rows);
-  srcs.reserve(rows);
-  for (auto& t : taps_) {
-    const auto order = features::canonical_batch_order(t->wbuf, 0, t->wbuf.size());
-    for (const auto& row : features::make_feature_rows(t->wbuf, order, stats)) x.add_row(row);
-    for (const std::uint32_t i : order) {
-      truths.push_back(t->wbuf.is_malicious(i) ? 1 : 0);
-      srcs.push_back(t->wbuf.src_addr()[i]);
-      if (t->wbuf.is_malicious(i))
-        lags.push_back(now.ns() - t->wbuf.timestamp_ns()[i]);
-    }
+  for (const auto& row : closed.rows) {
+    x.add_row(row);
+    for (const double v : row) fnv_mix(row_digest_, std::bit_cast<std::uint64_t>(v));
   }
-  for (std::size_t r = 0; r < x.rows(); ++r)
-    for (const double v : x.row(r)) fnv_mix(row_digest_, std::bit_cast<std::uint64_t>(v));
 
-  // 4. Score: inline on this (shard 0) thread, or on the engine's scoring
+  // 3. Score: inline on this (shard 0) thread, or on the engine's scoring
   //    thread — submitted and collected at the boundary, so the verdict
   //    stream is identical either way.
   ml::Verdicts verdicts;
@@ -203,27 +180,19 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     fnv_mix(verdict_digest_, static_cast<std::uint64_t>(verdicts[i]));
     predicted += verdicts[i] == 1;
-    truth += truths[i];
+    truth += closed.truths[i];
   }
 
-  // 5. Mitigation: per-source verdict slices in ascending src order, then
+  // 4. Mitigation: per-source verdict slices in ascending src order, then
   //    the shared ladder with now = the boundary instant.
   if (config_.mitigation) {
-    std::map<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>> per_src;
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
-      auto& [packets, flagged] = per_src[srcs[i]];
-      ++packets;
-      flagged += verdicts[i] == 1;
-    }
     ids::WindowVerdictEvent event;
     event.window_index = index;
     event.window_start = util::SimTime::nanos(static_cast<std::int64_t>(index) *
                                               config_.window.ns());
     event.packets = rows;
     event.predicted_malicious = predicted;
-    event.sources.reserve(per_src.size());
-    for (const auto& [src, pf] : per_src)
-      event.sources.push_back({src, pf.first, pf.second});
+    event.sources = ids::source_verdicts(closed.sources, verdicts);
     policy_.process_event(event, now.ns());
   }
 
@@ -252,13 +221,6 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   m_windows_closed_->inc();
   m_rows_->inc(rows);
   if (engine_) engine_->publish_metrics();
-
-  // 6. Reset for the next window (reset wipes the canonical-ties flag).
-  for (auto& t : taps_) {
-    t->wbuf.clear();
-    t->acc.reset();
-    t->acc.set_canonical_ties(true);
-  }
 
   const auto wall1 = std::chrono::steady_clock::now();
   const auto close_ns =

@@ -4,13 +4,13 @@
 // tap and recomputes a window's features on one thread — the wall the
 // scale benches hit long before 100k devices. ShardIdsPipeline splits the
 // capture: one PacketTap per *cluster* (attached to the cluster's device
-// nodes, device egress only), each feeding a per-tap columnar RecordBatch
-// and a streaming WindowAccumulator that folds on the owning shard's
-// thread as batches flush. At every window boundary the fleet pauses at
-// the ShardedSim sync hook and shard 0 merges the per-tap partials, builds
-// the merged feature rows, scores them (inline or on the InferenceEngine),
-// and walks the verdicts through the shared mitigate::VerdictPolicy,
-// enforcing through every cluster edge's EdgeFilter.
+// nodes, device egress only), each folding into its own WindowBuffer on
+// the owning shard's thread as batches flush. At every window boundary the
+// fleet pauses at the ShardedSim sync hook and shard 0 closes all tap
+// buffers with one features::close_window, scores the merged rows (inline
+// or on the InferenceEngine), and walks the ids::source_verdicts slice
+// through the shared mitigate::VerdictPolicy, enforcing through every
+// cluster edge's EdgeFilter.
 //
 // Determinism contract (DESIGN.md §15) — why the merged windows are
 // byte-identical across shard counts:
@@ -22,10 +22,9 @@
 //  * tap granularity is the cluster, not the shard: the tap set and each
 //    tap's stream are identical for every shard count;
 //  * same-nanosecond capture order IS layout-dependent (calendar seq
-//    interleaving), so per-tap accumulators run in canonical-ties mode
-//    and rows are emitted in canonical_batch_order — both erase exactly
-//    that divergence;
-//  * partial accumulators merge in tap creation order (Chan's parallel
+//    interleaving), so per-tap buffers fold with canonical ties and emit
+//    rows in canonical_batch_order — both erase exactly that divergence;
+//  * per-tap partials merge in tap creation order (Chan's parallel
 //    Welford combination is order-sensitive; the order is pinned);
 //  * the sync hook pauses every shard at exactly the boundary, so window
 //    contents are timestamp-bucketed by construction, and mitigation
@@ -94,7 +93,7 @@ class ShardIdsPipeline {
   ShardIdsPipeline& operator=(const ShardIdsPipeline&) = delete;
 
   /// Creates a capture tap whose instruments resolve into `shard`'s obs
-  /// domain. Creation order is the accumulator merge order — call in a
+  /// domain. Creation order is the window merge order — call in a
   /// fixed, shard-count-independent order (cluster order), then attach
   /// the tap to the cluster's device nodes before traffic starts.
   capture::PacketTap& add_tap(std::size_t shard);
@@ -139,6 +138,7 @@ class ShardIdsPipeline {
   const ml::Classifier& model_;
   ShardIdsConfig config_;
   std::vector<std::unique_ptr<TapState>> taps_;  // merge order
+  std::vector<features::WindowBuffer*> tap_windows_;  // taps_' buffers, same order
   std::vector<mitigate::EdgeFilter*> filters_;
   mitigate::VerdictPolicy policy_;
   std::unique_ptr<ids::InferenceEngine> engine_;

@@ -31,7 +31,7 @@ void FeatureAggregator::add(const capture::PacketRecord& record) {
     close_window();
     current_window_ = w;
   }
-  buffer_.push_back(record);
+  buffer_.add(record);
   m_packets_->inc();
 }
 
@@ -48,15 +48,12 @@ void FeatureAggregator::close_window() {
       util::SimTime::nanos(static_cast<std::int64_t>(current_window_) * config_.window.ns());
   {
     obs::ScopedTimer timer{*m_extract_ns_};
-    out.stats = compute_window_stats(buffer_, config_.window);
-    out.rows.reserve(buffer_.size());
-    out.labels.reserve(buffer_.size());
-    for (const auto& r : buffer_) {
-      out.rows.push_back(make_feature_row(r, out.stats));
-      out.labels.push_back(r.is_malicious() ? 1 : 0);
-    }
+    WindowBuffer* const buffers[] = {&buffer_};
+    ClosedWindow closed = features::close_window(buffers, config_.window);
+    out.stats = closed.stats;
+    out.rows = std::move(closed.rows);
+    out.labels = std::move(closed.truths);
   }
-  buffer_.clear();
   ++windows_emitted_;
   m_windows_->inc();
   if (on_window_) on_window_(out);

@@ -2,9 +2,9 @@
 //
 // Packets stream in timestamp order (the tap guarantees this in real time;
 // datasets are stored in capture order). The aggregator buffers one window
-// (default 1 s, user-configurable per the paper), computes the statistical
-// features when the window closes, stamps them onto every packet's basic
-// features, and emits the labelled rows.
+// (default 1 s, user-configurable per the paper) in the WindowBuffer the
+// real-time IDS serves from, and closes it with the same close_window:
+// labelled rows, the window statistics stamped on each packet's features.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +14,7 @@
 #include "capture/dataset.hpp"
 #include "capture/packet_record.hpp"
 #include "features/schema.hpp"
-#include "features/window_stats.hpp"
+#include "features/window_accumulator.hpp"
 #include "util/sim_time.hpp"
 
 namespace ddoshield::obs {
@@ -60,7 +60,7 @@ class FeatureAggregator {
 
   AggregatorConfig config_;
   WindowFn on_window_;
-  std::vector<capture::PacketRecord> buffer_;
+  WindowBuffer buffer_;
   std::uint64_t current_window_ = 0;
   bool have_window_ = false;
   std::uint64_t windows_emitted_ = 0;

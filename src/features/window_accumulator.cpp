@@ -1,12 +1,28 @@
 #include "features/window_accumulator.hpp"
 
 #include <cmath>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 
 #include "net/packet.hpp"
+#include "obs/metrics.hpp"
 
 namespace ddoshield::features {
+
+void WindowStats::fill_row(FeatureRow& row) const {
+  row[kWinPacketCount] = static_cast<double>(packet_count);
+  row[kWinByteRate] = byte_rate;
+  row[kWinDstPortEntropy] = dst_port_entropy;
+  row[kWinSrcAddrEntropy] = src_addr_entropy;
+  row[kWinSynNoAckRatio] = syn_no_ack_ratio;
+  row[kWinShortLivedFlows] = short_lived_flows;
+  row[kWinRepeatedAttempts] = repeated_attempts;
+  row[kWinSeqVarianceLog] = seq_variance_log;
+  row[kWinMeanPayload] = mean_payload;
+  row[kWinUdpFraction] = udp_fraction;
+}
 
 WindowAccumulator::WindowAccumulator(std::size_t packet_hint)
     : flow_packets_(packet_hint / 4) {}
@@ -16,8 +32,6 @@ void WindowAccumulator::reset(std::size_t packet_hint) {
 }
 
 void WindowAccumulator::fold(const capture::PacketRecord& r) {
-  // Operation-for-operation the per-packet loop of compute_window_stats:
-  // any divergence here breaks the batched-vs-recompute bit-equality gate.
   ++packet_count_;
   total_bytes_ += r.wire_bytes;
   dst_ports_.add(r.dst_port);
@@ -46,11 +60,6 @@ void WindowAccumulator::add(const capture::PacketRecord& r) {
   }
   if (!run_.empty() && run_.front().timestamp != r.timestamp) flush_ties();
   run_.push_back(r);
-}
-
-void WindowAccumulator::add_batch(const capture::RecordBatch& batch, std::size_t begin,
-                                  std::size_t end) {
-  for (std::size_t i = begin; i < end; ++i) add(batch.record_at(i));
 }
 
 void WindowAccumulator::flush_ties() {
@@ -125,11 +134,9 @@ bool record_content_less(const capture::PacketRecord& a, const capture::PacketRe
   return key(a) < key(b);
 }
 
-std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& batch,
-                                                 std::size_t begin, std::size_t end) {
-  std::vector<std::uint32_t> order;
-  order.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) order.push_back(static_cast<std::uint32_t>(i));
+std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& batch) {
+  std::vector<std::uint32_t> order(batch.size());
+  std::iota(order.begin(), order.end(), 0u);
   const auto& ts = batch.timestamp_ns();
   std::size_t run_start = 0;
   const auto sort_run = [&](std::size_t lo, std::size_t hi) {
@@ -150,16 +157,18 @@ std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& bat
   return order;
 }
 
-namespace {
-
-void fill_basic_columns(const capture::RecordBatch& batch, std::size_t begin,
-                        const std::uint32_t* order, std::vector<FeatureRow>& rows) {
-  const std::size_t n = rows.size();
+void make_feature_rows(const capture::RecordBatch& batch, std::span<const std::uint32_t> order,
+                       const WindowStats& stats, std::vector<FeatureRow>& out) {
+  FeatureRow stamped{};
+  stats.fill_row(stamped);
+  const std::size_t n = order.empty() ? batch.size() : order.size();
+  out.resize(out.size() + n, stamped);
+  const std::span<FeatureRow> rows = std::span<FeatureRow>{out}.last(n);
   const auto idx = [&](std::size_t k) {
-    return order != nullptr ? static_cast<std::size_t>(order[k]) : begin + k;
+    return order.empty() ? k : static_cast<std::size_t>(order[k]);
   };
   // One sweep per column: each pass reads one contiguous array and writes
-  // one row slot — the vectorised twin of fill_basic_features.
+  // one row slot.
   const auto& ts = batch.timestamp_ns();
   for (std::size_t k = 0; k < n; ++k)
     rows[k][kTimestamp] = static_cast<double>(ts[idx(k)]) * 1e-9;
@@ -183,26 +192,71 @@ void fill_basic_columns(const capture::RecordBatch& batch, std::size_t begin,
     rows[k][kPayloadBytes] = static_cast<double>(payload[idx(k)]);
 }
 
-}  // namespace
-
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::size_t begin, std::size_t end,
-                                          const WindowStats& stats) {
-  FeatureRow stamped{};
-  stats.fill_row(stamped);
-  std::vector<FeatureRow> rows(end - begin, stamped);
-  fill_basic_columns(batch, begin, nullptr, rows);
-  return rows;
+WindowBuffer::WindowBuffer(Order order) : order_{order} {
+  acc_.set_canonical_ties(order_ == Order::kCanonical);
 }
 
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::span<const std::uint32_t> order,
-                                          const WindowStats& stats) {
-  FeatureRow stamped{};
-  stats.fill_row(stamped);
-  std::vector<FeatureRow> rows(order.size(), stamped);
-  fill_basic_columns(batch, 0, order.data(), rows);
-  return rows;
+void WindowBuffer::add(const capture::PacketRecord& r) {
+  records_.push_record(r);
+  acc_.add(r);
+}
+
+void WindowBuffer::add_batch(const capture::RecordBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    records_.append_row(batch, i);
+    acc_.add(batch.record_at(i));
+  }
+}
+
+void WindowBuffer::clear() {
+  records_.clear();
+  acc_.reset();
+  acc_.set_canonical_ties(order_ == Order::kCanonical);
+}
+
+ClosedWindow close_window(std::span<WindowBuffer* const> buffers, util::SimTime window,
+                          std::uint64_t* rows_ns) {
+  if (buffers.empty()) throw std::invalid_argument("close_window: no buffers");
+  ClosedWindow out;
+  std::vector<std::vector<std::uint32_t>> orders;  // per buffer; empty = arrival
+  std::size_t total = 0;
+  for (const WindowBuffer* b : buffers) total += b->size();
+  std::uint64_t ns = 0;
+  {
+    obs::ScopedTimer timer{ns};
+    // One buffer finalizes in place; several merge, in the listed order,
+    // into an accumulator sized for the whole window.
+    std::optional<WindowAccumulator> merged;
+    if (buffers.size() > 1) {
+      merged.emplace(total);
+      for (WindowBuffer* b : buffers) {
+        b->acc_.flush_ties();
+        merged->merge_from(b->acc_);
+      }
+    }
+    out.stats = (merged ? *merged : buffers.front()->acc_).finalize(window);
+    out.rows.reserve(total);
+    for (const WindowBuffer* b : buffers) {
+      orders.push_back(b->order_ == WindowBuffer::Order::kCanonical
+                           ? canonical_batch_order(b->records_)
+                           : std::vector<std::uint32_t>{});
+      make_feature_rows(b->records_, orders.back(), out.stats, out.rows);
+    }
+  }
+  if (rows_ns != nullptr) *rows_ns += ns;
+
+  out.truths.reserve(total);
+  out.sources.reserve(total);
+  for (std::size_t k = 0; k < buffers.size(); ++k) {
+    const capture::RecordBatch& records = buffers[k]->records_;
+    for (std::size_t j = 0; j < records.size(); ++j) {
+      const std::size_t i = orders[k].empty() ? j : orders[k][j];
+      out.truths.push_back(records.is_malicious(i) ? 1 : 0);
+      out.sources.push_back(records.src_addr()[i]);
+    }
+    buffers[k]->clear();
+  }
+  return out;
 }
 
 }  // namespace ddoshield::features

@@ -1,32 +1,23 @@
-// Streaming per-window feature accumulator.
+// One window-feature implementation for training and serving.
 //
-// compute_window_stats recomputes every tally over the full window buffer
-// at close — an O(packets) spike exactly on the window boundary, which the
-// flight recorder attributes as the dominant window-close latency at fleet
-// scale. WindowAccumulator is that same fold split into incremental
-// `add`/`add_batch` (amortised over the window as batches flush) plus an
-// O(uniques) `finalize` that only walks the flow/port tables. The fold is
-// operation-for-operation the loop inside compute_window_stats, and the
-// flat path of compute_window_stats is now implemented *via* this class,
-// so incremental accumulation is bit-identical to the one-shot recompute
-// by construction (the equality the fuzz matrix pins).
+// WindowAccumulator folds records as they arrive (amortised as capture
+// batches flush); WindowBuffer pairs it with the window's records; and
+// close_window turns buffers into the window's stats and rows with an
+// O(uniques) finalize. Training extraction, the flat IDS and every sharded
+// IDS tap build their windows through these alone.
 //
 // Determinism across shard layouts (DESIGN.md §15): entropy finalisation
-// sorts keys, and all count tallies are exact integers, so they are
-// fold-order free. The two Welford accumulators (sequence variance, mean
-// payload) are NOT: floating-point folds depend on order. Two rules make
-// per-tap partials shard-layout-invariant anyway:
+// sorts keys and every count tally is an exact integer, so both are
+// fold-order free; the two Welford accumulators (sequence variance, mean
+// payload) are not. Two rules make per-tap partials layout-invariant:
 //
-//  * canonical ties (`set_canonical_ties(true)`): same-timestamp runs are
-//    buffered and folded in sorted record-content order, erasing the one
-//    source of cross-layout order divergence in a per-tap stream (event
-//    tie-breaks at equal nanoseconds). Off by default — the flat IDS path
-//    folds in exact arrival order, bit-identical to compute_window_stats
-//    over the same records.
-//  * ordered merge (`merge_from`): partial accumulators are folded with
-//    Chan's parallel-Welford combination, which is deterministic only for
-//    a fixed merge order — callers merge per-tap partials in tap creation
-//    order, never in thread-completion order.
+//  * canonical ties (WindowBuffer::Order::kCanonical): same-timestamp runs
+//    fold in record-content order and rows emit in canonical_batch_order,
+//    erasing the one order a shard layout can perturb (tie-breaks at equal
+//    nanoseconds). Training and the flat IDS keep exact arrival order.
+//  * ordered merge (`merge_from`): Chan's parallel-Welford combination is
+//    deterministic only for a fixed order, so close_window merges buffers
+//    in the order the caller lists them (tap creation order).
 #pragma once
 
 #include <algorithm>
@@ -40,11 +31,30 @@
 #include "capture/packet_record.hpp"
 #include "capture/record_batch.hpp"
 #include "features/schema.hpp"
-#include "features/window_stats.hpp"
 #include "util/sim_time.hpp"
 #include "util/stats.hpp"
 
 namespace ddoshield::features {
+
+/// Per-window statistical features (§IV-A of the paper): packet counts,
+/// destination-port entropy, port-usage frequency patterns (short-lived
+/// connections, repeated attempts), SYN-without-ACK analysis, flow rate,
+/// and sequence-number variance.
+struct WindowStats {
+  std::uint64_t packet_count = 0;
+  double byte_rate = 0.0;          // wire bytes per second over the window
+  double dst_port_entropy = 0.0;   // bits
+  double src_addr_entropy = 0.0;   // bits
+  double syn_no_ack_ratio = 0.0;   // SYN-without-ACK / TCP packets
+  double short_lived_flows = 0.0;  // 5-tuples with <=2 packets in window
+  double repeated_attempts = 0.0;  // (src,dst_port) pairs with >=3 SYNs
+  double seq_variance_log = 0.0;   // log10(1 + var(seq)) over TCP packets
+  double mean_payload = 0.0;
+  double udp_fraction = 0.0;
+
+  /// Writes the statistical block of `row` (indices kWinPacketCount..).
+  void fill_row(FeatureRow& row) const;
+};
 
 namespace detail {
 
@@ -97,8 +107,8 @@ class FlatFrequencyCounter {
 
 class WindowAccumulator {
  public:
-  /// `packet_hint` pre-sizes the flow table like the one-shot recompute
-  /// does (capacity is invisible in the output values).
+  /// `packet_hint` pre-sizes the flow table (capacity is invisible in the
+  /// output values).
   explicit WindowAccumulator(std::size_t packet_hint = 0);
 
   void set_canonical_ties(bool on) { canonical_ties_ = on; }
@@ -107,10 +117,6 @@ class WindowAccumulator {
   /// Folds one record. Timestamps must be nondecreasing across calls when
   /// canonical ties are on (capture order guarantees this per tap).
   void add(const capture::PacketRecord& r);
-
-  /// Folds batch rows [begin, end) in order.
-  void add_batch(const capture::RecordBatch& batch, std::size_t begin, std::size_t end);
-  void add_batch(const capture::RecordBatch& batch) { add_batch(batch, 0, batch.size()); }
 
   /// Folds the buffered same-timestamp run (canonical-ties mode). Must be
   /// called before merge_from reads this accumulator as a source; finalize
@@ -121,7 +127,8 @@ class WindowAccumulator {
   /// only for a fixed merge order — see the header comment.
   void merge_from(const WindowAccumulator& other);
 
-  /// O(uniques) close: walks the tables, never the packets.
+  /// O(uniques) close: walks the tables, never the packets. `window_duration`
+  /// must be positive; it scales byte_rate.
   WindowStats finalize(util::SimTime window_duration);
 
   std::uint64_t packets() const { return packet_count_ + run_.size(); }
@@ -151,22 +158,62 @@ class WindowAccumulator {
 /// then every header field; uid excluded — uids encode the shard layout).
 bool record_content_less(const capture::PacketRecord& a, const capture::PacketRecord& b);
 
-/// Canonical ordering of batch rows [begin, end): capture order with
+/// Canonical ordering of the batch's rows: capture order with
 /// same-timestamp runs sorted by record content — the row order matching
-/// a canonical-ties fold. Returns absolute batch indices.
-std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& batch,
-                                                 std::size_t begin, std::size_t end);
+/// a canonical-ties fold.
+std::vector<std::uint32_t> canonical_batch_order(const capture::RecordBatch& batch);
 
-/// Vectorised row building: one FeatureRow per batch row in [begin, end),
-/// the statistical block stamped once and the basic block filled in
-/// per-column sweeps (bit-identical to make_feature_row per row).
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::size_t begin, std::size_t end,
-                                          const WindowStats& stats);
+/// The feature row builder: appends to `rows` one FeatureRow per batch row
+/// listed in `order` (absolute indices; empty = every row in arrival
+/// order), the statistical block stamped once and the basic block filled
+/// in per-column sweeps.
+void make_feature_rows(const capture::RecordBatch& batch, std::span<const std::uint32_t> order,
+                       const WindowStats& stats, std::vector<FeatureRow>& rows);
 
-/// Same, but emits rows in the given (absolute-index) order.
-std::vector<FeatureRow> make_feature_rows(const capture::RecordBatch& batch,
-                                          std::span<const std::uint32_t> order,
-                                          const WindowStats& stats);
+/// A closed window: its stats, and each row with its truth and source.
+struct ClosedWindow {
+  WindowStats stats;
+  std::vector<FeatureRow> rows;
+  std::vector<int> truths;             // 1 = malicious, row-aligned
+  std::vector<std::uint32_t> sources;  // source address, row-aligned
+};
+
+/// One open window: its records, struct-of-arrays, and the accumulator
+/// they fold into. The order is fixed at construction and survives clear().
+class WindowBuffer {
+ public:
+  enum class Order {
+    kArrival,    // fold and emit in arrival order (training, flat IDS)
+    kCanonical,  // canonical ties (sharded IDS taps)
+  };
+
+  explicit WindowBuffer(Order order = Order::kArrival);
+
+  void add(const capture::PacketRecord& r);
+  void add_batch(const capture::RecordBatch& batch);
+
+  const capture::RecordBatch& records() const { return records_; }
+  std::size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  /// Heap footprint of the buffered columns, for resource accounting.
+  std::size_t byte_capacity() const { return records_.byte_capacity(); }
+
+  void clear();
+
+ private:
+  friend ClosedWindow close_window(std::span<WindowBuffer* const>, util::SimTime,
+                                   std::uint64_t*);
+
+  Order order_;
+  capture::RecordBatch records_;
+  WindowAccumulator acc_;
+};
+
+/// Closes the window held in `buffers`: merges their accumulators in the
+/// listed order, finalizes once, emits each buffer's rows in its own order
+/// and clears the buffers. `rows_ns`, when given, gains the wall time of
+/// everything up to the rows (not the truths and sources).
+ClosedWindow close_window(std::span<WindowBuffer* const> buffers, util::SimTime window,
+                          std::uint64_t* rows_ns = nullptr);
 
 }  // namespace ddoshield::features

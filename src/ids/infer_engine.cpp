@@ -14,6 +14,13 @@ std::uint64_t now_ns() {
                                         .count());
 }
 
+// Wakes whoever sleeps on `word`. Waiters load the word before checking
+// their condition and sleep only while it is unchanged: no bump is lost.
+void bump(std::atomic<std::uint32_t>& word) {
+  word.fetch_add(1, std::memory_order_release);
+  word.notify_all();
+}
+
 }  // namespace
 
 InferenceEngine::InferenceEngine(const ml::Classifier& model, InferEngineConfig config)
@@ -27,14 +34,16 @@ InferenceEngine::InferenceEngine(const ml::Classifier& model, InferEngineConfig 
       m_batch_rows_{&obs::MetricsRegistry::global().histogram("ids.infer.batch_rows")},
       worker_{[this] { worker_loop(); }} {
   if (!model.trained()) {
-    stop_.store(true, std::memory_order_release);
-    worker_.join();
+    stop_worker();
     throw std::logic_error("InferenceEngine: model must be trained before offloading");
   }
 }
 
-InferenceEngine::~InferenceEngine() {
+InferenceEngine::~InferenceEngine() { stop_worker(); }
+
+void InferenceEngine::stop_worker() {
   stop_.store(true, std::memory_order_release);
+  bump(wake_);
   worker_.join();
 }
 
@@ -55,6 +64,7 @@ std::uint64_t InferenceEngine::submit(ml::DesignMatrix x,
       std::this_thread::yield();
     } while (!jobs_.try_push(std::move(job)));
   }
+  bump(wake_);
   ++submitted_;
   m_batches_->inc();
   m_batch_rows_->observe(rows);
@@ -70,6 +80,7 @@ bool InferenceEngine::try_collect(InferResult& out) {
     throw std::logic_error("InferenceEngine: out-of-order result (FIFO invariant broken)");
   }
   ++collected_;
+  bump(wake_);  // a freed slot lets the worker flush spilled results
   m_ring_depth_->set(static_cast<double>(outstanding()));
   return true;
 }
@@ -79,8 +90,11 @@ InferResult InferenceEngine::collect() {
     throw std::logic_error("InferenceEngine::collect: no outstanding jobs");
   }
   InferResult out;
-  while (!try_collect(out)) std::this_thread::yield();
-  return out;
+  while (true) {
+    const std::uint32_t seen = wake_.load(std::memory_order_acquire);
+    if (try_collect(out)) return out;
+    wake_.wait(seen, std::memory_order_acquire);
+  }
 }
 
 InferenceEngine::Stats InferenceEngine::stats() const {
@@ -116,9 +130,11 @@ void InferenceEngine::worker_loop() {
   auto flush_overflow = [this, &overflow] {
     while (!overflow.empty() && results_.try_push(std::move(overflow.front()))) {
       overflow.pop_front();
+      bump(wake_);
     }
   };
   while (true) {
+    const std::uint32_t seen = wake_.load(std::memory_order_acquire);
     flush_overflow();
     if (!jobs_.try_pop(job)) {
       if (stop_.load(std::memory_order_acquire)) {
@@ -131,14 +147,15 @@ void InferenceEngine::worker_loop() {
           return;
         }
       } else {
-        std::this_thread::yield();
+        // Idle: sleep until a submit, a collect or stop bumps the word.
+        wake_.wait(seen, std::memory_order_acquire);
         continue;
       }
     }
     const std::uint64_t t0 = now_ns();
     const ml::Classifier& model = job.model ? *job.model : model_;
     model.score_batch(job.x, verdicts);
-    job.model.reset();  // don't pin a swapped-out version across idle spins
+    job.model.reset();  // don't pin a swapped-out version while idle
     const std::uint64_t t1 = now_ns();
 
     InferResult res;
@@ -150,6 +167,8 @@ void InferenceEngine::worker_loop() {
     completed_.inc();
     if (!overflow.empty() || !results_.try_push(std::move(res))) {
       overflow.push_back(std::move(res));
+    } else {
+      bump(wake_);
     }
   }
 }

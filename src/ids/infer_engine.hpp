@@ -19,10 +19,14 @@
 //
 // Thread rules: submit/try_collect/collect/drain and publish_metrics are
 // simulation-thread only; the worker touches nothing but the rings, the
-// const model, and its RelaxedCounters (obs's registry instruments are
-// unsynchronised by design).
+// const model, the wake-up word, and its RelaxedCounters (obs's
+// registry instruments are unsynchronised by design). An idle worker and
+// a blocking collect() sleep on C++20 atomic wait/notify instead of
+// spinning; only a back-pressured submit() yield-spins, while the worker
+// is busy.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -104,12 +108,15 @@ class InferenceEngine {
   };
 
   void worker_loop();
+  void stop_worker();
 
   const ml::Classifier& model_;
   InferEngineConfig config_;
   util::SpscRing<Job> jobs_;
   util::SpscRing<InferResult> results_;
   std::atomic<bool> stop_{false};
+  // Bumped on every job or result pushed, result slot freed, and stop.
+  std::atomic<std::uint32_t> wake_{0};
 
   // Simulation-thread state.
   std::uint64_t submitted_ = 0;

@@ -1,7 +1,6 @@
 #include "ids/realtime_ids.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "features/schema.hpp"
 #include "obs/flight.hpp"
@@ -12,6 +11,23 @@
 namespace ddoshield::ids {
 
 using util::SimTime;
+
+std::vector<SourceVerdict> source_verdicts(std::span<const std::uint32_t> sources,
+                                           std::span<const int> verdicts) {
+  // One sortable key per row: the source above, the flag in the low bit.
+  std::vector<std::uint64_t> keys(std::min(sources.size(), verdicts.size()));
+  for (std::size_t i = 0; i < keys.size(); ++i)
+    keys[i] = (std::uint64_t{sources[i]} << 1) | (verdicts[i] != 0 ? 1u : 0u);
+  std::sort(keys.begin(), keys.end());
+  std::vector<SourceVerdict> out;
+  for (const std::uint64_t key : keys) {
+    const auto src = static_cast<std::uint32_t>(key >> 1);
+    if (out.empty() || out.back().src_addr != src) out.push_back({src, 0, 0});
+    ++out.back().packets;
+    out.back().flagged += static_cast<std::uint32_t>(key & 1u);
+  }
+  return out;
+}
 
 RealTimeIds::RealTimeIds(container::Container& owner, util::Rng rng,
                          const ml::Classifier& model, IdsConfig config)
@@ -85,11 +101,10 @@ void RealTimeIds::schedule_tick() {
 
 void RealTimeIds::on_batch(const capture::RecordBatch& batch) {
   if (!accepting_) return;
+  window_.add_batch(batch);
   const auto& uid = batch.uid();
   const auto& ts = batch.timestamp_ns();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    wbuf_.append_row(batch, i);
-    acc_.add(batch.record_at(i));
     if (flight_->sampled(uid[i])) {
       // The sim clock at capture, reconstructed from the stamped timestamp
       // (the tap's clock offset must not leak into the detection-lag
@@ -98,8 +113,8 @@ void RealTimeIds::on_batch(const capture::RecordBatch& batch) {
           WindowSample{uid[i], ts[i] - batch.clock_offset_ns(), batch.is_malicious(i)});
     }
   }
-  buffer_peak_bytes_ = std::max<std::uint64_t>(buffer_peak_bytes_, wbuf_.byte_capacity());
-  m_backlog_->set(static_cast<double>(wbuf_.size()));
+  buffer_peak_bytes_ = std::max<std::uint64_t>(buffer_peak_bytes_, window_.byte_capacity());
+  m_backlog_->set(static_cast<double>(window_.size()));
 }
 
 void RealTimeIds::close_window() {
@@ -125,7 +140,7 @@ void RealTimeIds::close_window() {
   // (windows are closed by tick order, not by timestamp).
   for (capture::PacketTap* tap : taps_) tap->flush_batch();
 
-  const std::size_t rows = wbuf_.size();
+  const std::size_t rows = window_.size();
   if (rows == 0) {
     if (engine_) drain_completed(/*block=*/false);
     return;
@@ -140,24 +155,20 @@ void RealTimeIds::close_window() {
   report.packets = rows;
 
   // --- preprocessing: statistical features over the window (measured) -----
-  features::WindowStats stats;
+  // O(uniques) finalize of the incrementally-folded tallies, then
+  // column-wise rows; the measured cost runs up to the scored matrix.
+  features::WindowBuffer* const buffers[] = {&window_};
+  features::ClosedWindow closed =
+      features::close_window(buffers, config_.window, &report.cpu_feature_ns);
   ml::DesignMatrix x{features::kFeatureCount};
   {
-    obs::ScopedTimer timer{*m_feature_ns_, report.cpu_feature_ns};
-    // O(uniques) finalize of the incrementally-folded tallies, then
-    // column-wise row building — no per-packet recompute at the edge.
-    stats = acc_.finalize(config_.window);
+    obs::ScopedTimer timer{report.cpu_feature_ns};
     x.reserve(rows);
-    for (const auto& row : features::make_feature_rows(wbuf_, 0, rows, stats)) {
-      x.add_row(row);
-    }
+    for (const auto& row : closed.rows) x.add_row(row);
   }
-  pending.truths.reserve(rows);
-  for (std::size_t i = 0; i < rows; ++i) pending.truths.push_back(wbuf_.is_malicious(i) ? 1 : 0);
-  if (verdict_sink_) {
-    const auto& src = wbuf_.src_addr();
-    pending.row_sources.assign(src.begin(), src.end());
-  }
+  m_feature_ns_->observe(report.cpu_feature_ns);
+  pending.truths = std::move(closed.truths);
+  if (verdict_sink_) pending.row_sources = std::move(closed.sources);
   pending.samples = std::move(window_samples_);
   window_samples_.clear();
 
@@ -168,8 +179,6 @@ void RealTimeIds::close_window() {
     lifecycle_->publish_metrics();
   }
 
-  wbuf_.clear();
-  acc_.reset();
   m_backlog_->set(0.0);
 
   pending.close_sim_ns = sim().now().ns();
@@ -276,17 +285,7 @@ void RealTimeIds::finalize_window(PendingWindow&& pending, const ml::Verdicts& v
     event.packets = report.packets;
     event.predicted_malicious = report.predicted_malicious;
     event.model_version = report.model_version;
-    // Ordered aggregation so the event is a pure function of the window's
-    // rows, independent of arrival interleavings.
-    std::map<std::uint32_t, SourceVerdict> by_source;
-    for (std::size_t i = 0; i < verdicts.size() && i < pending.row_sources.size(); ++i) {
-      SourceVerdict& sv = by_source[pending.row_sources[i]];
-      sv.src_addr = pending.row_sources[i];
-      ++sv.packets;
-      sv.flagged += verdicts[i] != 0 ? 1u : 0u;
-    }
-    event.sources.reserve(by_source.size());
-    for (auto& [addr, sv] : by_source) event.sources.push_back(sv);
+    event.sources = source_verdicts(pending.row_sources, verdicts);
     verdict_sink_(event);
   }
 }
@@ -328,7 +327,7 @@ void RealTimeIds::flush() {
   // Pull partial batches first so end-of-run records reach the final
   // (partial) window; close_window's own flush is then a no-op.
   for (capture::PacketTap* tap : taps_) tap->flush_batch();
-  if (!wbuf_.empty()) close_window();
+  if (!window_.empty()) close_window();
   if (engine_) drain_completed(/*block=*/true);
 }
 

@@ -1,25 +1,25 @@
 // The Real-Time IDS Unit (Fig. 2): monitor → preprocess → detect.
 //
 // Runs as an app inside the IDS container. A PacketTap on the victim
-// feeds it records; a periodic simulator timer closes each time window
-// (1 s by default, user-configurable per §III-B); at window close the IDS
-// computes the statistical features, stamps them onto each packet's basic
-// features, runs the loaded model over every row, and records a
-// per-window report with the window's accuracy — the quantity Table I
-// averages and §IV-D's per-second analysis plots.
+// feeds it records into a features::WindowBuffer — the same window path
+// training extraction runs; a periodic simulator timer closes each time
+// window (1 s by default, user-configurable per §III-B) through
+// features::close_window, runs the loaded model over every row, and
+// records a per-window report with the window's accuracy — the quantity
+// Table I averages and §IV-D's per-second analysis plots.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "apps/app.hpp"
 #include "capture/record_batch.hpp"
 #include "capture/tap.hpp"
 #include "features/window_accumulator.hpp"
-#include "features/window_stats.hpp"
 #include "ids/infer_engine.hpp"
 #include "ids/resource_meter.hpp"
 #include "ml/classifier.hpp"
@@ -58,6 +58,12 @@ struct WindowVerdictEvent {
   std::uint64_t model_version = 1;
   std::vector<SourceVerdict> sources;
 };
+
+/// A window's per-source slice, ascending by source address: row i came
+/// from sources[i] and was scored verdicts[i] (nonzero = malicious). Rows
+/// past the shorter span are ignored.
+std::vector<SourceVerdict> source_verdicts(std::span<const std::uint32_t> sources,
+                                           std::span<const int> verdicts);
 
 /// One closed detection window.
 struct WindowReport {
@@ -121,7 +127,7 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
 
   /// Packets buffered in the currently open window (the obs sampler's
   /// "ids.window_backlog" probe).
-  std::size_t window_backlog() const { return wbuf_.size(); }
+  std::size_t window_backlog() const { return window_.size(); }
 
   /// The offload engine, or null in inline mode (tests reconcile its
   /// backpressure stats against the flight recorder's wait series).
@@ -197,12 +203,10 @@ class RealTimeIds : public apps::App, public capture::BatchSink {
   std::unique_ptr<InferenceEngine> engine_;
   std::unique_ptr<ml::lifecycle::LifecycleManager> lifecycle_;
   std::deque<PendingWindow> pending_;
-  // The open window as struct-of-arrays plus the streaming accumulator it
-  // folds into as batches flush. `accepting_` gates batch ingestion:
-  // on_start flushes attached taps first so records captured before the
-  // app started are dropped.
-  capture::RecordBatch wbuf_;
-  features::WindowAccumulator acc_;
+  // The open window, folded as batches flush. `accepting_` gates batch
+  // ingestion: on_start flushes attached taps first so records captured
+  // before the app started are dropped.
+  features::WindowBuffer window_;
   std::vector<capture::PacketTap*> taps_;
   bool accepting_ = false;
   std::vector<WindowSample> window_samples_;  // sampled uids in the open window

@@ -255,8 +255,17 @@ void KMeansDetector::load(util::ByteReader& r) {
   for (std::uint64_t i = 0; i < labels; ++i) {
     cluster_labels_.push_back(static_cast<int>(r.get_u32()));
   }
-  if (centroids_.size() != cluster_labels_.size()) {
+  if (centroids_.size() != cluster_labels_.size() || proportions_.size() != centroids_.size()) {
     throw std::invalid_argument("KMeansDetector::load: inconsistent model file");
+  }
+  // predict() measures each centroid against a scaler-width row and
+  // answers with the nearest one's label.
+  for (std::size_t c = 0; c < centroids_.size(); ++c) {
+    if (centroids_[c].size() != scaler_.mean().size() ||
+        (cluster_labels_[c] != 0 && cluster_labels_[c] != 1)) {
+      throw std::invalid_argument(
+          "KMeansDetector::load: centroid width is not the scaler's or label is not 0/1");
+    }
   }
 }
 

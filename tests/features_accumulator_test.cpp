@@ -1,19 +1,20 @@
-// Bit-equality matrix for the streaming window accumulator: incremental
-// add/add_batch folds vs the one-shot compute_window_stats recompute, the
-// canonical-ties fold, ordered partial merges, and the vectorised row
-// builder vs make_feature_row — the determinism surface the sharded IDS
-// pipeline stands on (DESIGN.md §15).
+// Bit-equality matrix for the window path: per-record and chunked batch
+// folds vs a whole-window close_window over a WindowBuffer, the
+// canonical-ties fold, ordered partial merges, multi-buffer closes, and
+// the column-wise row builder vs a per-record oracle — the determinism
+// surface training, the flat IDS and the sharded IDS stand on
+// (DESIGN.md §15).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <bit>
 #include <cstring>
 #include <vector>
 
 #include "capture/record_batch.hpp"
 #include "features/schema.hpp"
 #include "features/window_accumulator.hpp"
-#include "features/window_stats.hpp"
 #include "util/rng.hpp"
 
 namespace ddoshield::features {
@@ -74,8 +75,38 @@ void expect_stats_bit_equal(const WindowStats& a, const WindowStats& b) {
 
 constexpr SimTime kWindow = SimTime::millis(100);
 
+/// The statistics close_window computes for `packets` buffered as one
+/// window in arrival order.
+WindowStats closed_stats(const std::vector<PacketRecord>& packets) {
+  WindowBuffer buffer;
+  for (const auto& r : packets) buffer.add(r);
+  WindowBuffer* const buffers[] = {&buffer};
+  return close_window(buffers, kWindow).stats;
+}
+
+/// Test-local oracle for make_feature_rows: the row of one record, built
+/// field by field from the AoS record.
+FeatureRow reference_feature_row(const PacketRecord& r, const WindowStats& stats) {
+  FeatureRow row{};
+  row[kTimestamp] = r.timestamp.to_seconds();
+  row[kSrcAddr] = static_cast<double>(r.src_addr) / 4294967296.0;
+  row[kDstAddr] = static_cast<double>(r.dst_addr) / 4294967296.0;
+  row[kProtoIsTcp] = r.is_tcp() ? 1.0 : 0.0;
+  row[kSrcPort] = static_cast<double>(r.src_port) / 65535.0;
+  row[kDstPort] = static_cast<double>(r.dst_port) / 65535.0;
+  row[kPayloadBytes] = static_cast<double>(r.payload_bytes);
+  stats.fill_row(row);
+  return row;
+}
+
+void expect_rows_bit_equal(const FeatureRow& a, const FeatureRow& b) {
+  for (std::size_t f = 0; f < kFeatureCount; ++f)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[f]), std::bit_cast<std::uint64_t>(b[f]))
+        << "feature " << f;
+}
+
 // --------------------------------------------------------------------------
-// Incremental fold vs one-shot recompute (25-seed fuzz matrix)
+// Incremental fold vs whole-window close (25-seed fuzz matrix)
 // --------------------------------------------------------------------------
 
 class AccumulatorFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -84,26 +115,28 @@ TEST_P(AccumulatorFuzz, IncrementalAddMatchesRecomputeBitForBit) {
   const auto packets = random_window(GetParam(), 700);
   WindowAccumulator acc{packets.size()};
   for (const auto& r : packets) acc.add(r);
-  expect_stats_bit_equal(acc.finalize(kWindow),
-                         compute_window_stats(packets, kWindow));
+  expect_stats_bit_equal(acc.finalize(kWindow), closed_stats(packets));
 }
 
 TEST_P(AccumulatorFuzz, BatchFoldMatchesRecomputeBitForBit) {
   const auto packets = random_window(GetParam() ^ 0x5bd1e995u, 700);
-  RecordBatch batch;
-  for (const auto& r : packets) batch.push_record(r);
   WindowAccumulator acc{packets.size()};
-  // Fold in uneven chunks: chunk boundaries must be invisible.
+  for (const auto& r : packets) acc.add(r);
+  // Fold through a WindowBuffer in uneven batches: batch boundaries must
+  // be invisible.
+  WindowBuffer buffer;
   std::size_t begin = 0;
   std::size_t step = 1;
-  while (begin < batch.size()) {
-    const std::size_t end = std::min(batch.size(), begin + step);
-    acc.add_batch(batch, begin, end);
+  while (begin < packets.size()) {
+    const std::size_t end = std::min(packets.size(), begin + step);
+    RecordBatch batch;
+    for (std::size_t i = begin; i < end; ++i) batch.push_record(packets[i]);
+    buffer.add_batch(batch);
     begin = end;
     step = step * 2 + 1;
   }
-  expect_stats_bit_equal(acc.finalize(kWindow),
-                         compute_window_stats(packets, kWindow));
+  WindowBuffer* const buffers[] = {&buffer};
+  expect_stats_bit_equal(close_window(buffers, kWindow).stats, acc.finalize(kWindow));
 }
 
 // Permutes records only within same-timestamp runs — exactly the degree
@@ -173,6 +206,49 @@ TEST_P(AccumulatorFuzz, CanonicalTiesEraseSameTimestampOrder) {
   expect_stats_bit_equal(a.finalize(kWindow), b.finalize(kWindow));
 }
 
+TEST_P(AccumulatorFuzz, MultiBufferCloseMatchesOrderedPartialMerge) {
+  // close_window over canonical buffers: stats of the tap-order merge
+  // into a fresh accumulator, rows per buffer in canonical batch order,
+  // truths and sources aligned with the rows.
+  const auto packets = random_window(GetParam() + 5, 400);
+  constexpr std::size_t kTaps = 3;
+  std::vector<WindowBuffer> buffers(kTaps, WindowBuffer{WindowBuffer::Order::kCanonical});
+  std::vector<WindowAccumulator> partials(kTaps);
+  std::vector<RecordBatch> streams(kTaps);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    buffers[i % kTaps].add(packets[i]);
+    streams[i % kTaps].push_record(packets[i]);
+    partials[i % kTaps].set_canonical_ties(true);
+    partials[i % kTaps].add(packets[i]);
+  }
+  WindowAccumulator merged;
+  for (auto& p : partials) {
+    p.flush_ties();
+    merged.merge_from(p);
+  }
+  const WindowStats expect = merged.finalize(kWindow);
+
+  std::vector<WindowBuffer*> ptrs;
+  for (auto& b : buffers) ptrs.push_back(&b);
+  const ClosedWindow closed = close_window(ptrs, kWindow);
+  expect_stats_bit_equal(closed.stats, expect);
+  ASSERT_EQ(closed.rows.size(), packets.size());
+  ASSERT_EQ(closed.truths.size(), packets.size());
+  ASSERT_EQ(closed.sources.size(), packets.size());
+  std::size_t row = 0;
+  for (const RecordBatch& stream : streams) {
+    for (const std::uint32_t i : canonical_batch_order(stream)) {
+      SCOPED_TRACE(row);
+      const PacketRecord r = stream.record_at(i);
+      expect_rows_bit_equal(closed.rows[row], reference_feature_row(r, expect));
+      EXPECT_EQ(closed.truths[row], r.is_malicious() ? 1 : 0);
+      EXPECT_EQ(closed.sources[row], r.src_addr);
+      ++row;
+    }
+  }
+  for (const auto& b : buffers) EXPECT_TRUE(b.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(TwentyFiveSeeds, AccumulatorFuzz,
                          ::testing::Range<std::uint64_t>(1, 26));
 
@@ -184,13 +260,13 @@ TEST(MakeFeatureRowsTest, VectorisedRowsMatchPerRecordRows) {
   const auto packets = random_window(1234, 300);
   RecordBatch batch;
   for (const auto& r : packets) batch.push_record(r);
-  const WindowStats stats = compute_window_stats(packets, kWindow);
-  const auto rows = make_feature_rows(batch, 0, batch.size(), stats);
+  const WindowStats stats = closed_stats(packets);
+  std::vector<FeatureRow> rows;
+  make_feature_rows(batch, {}, stats, rows);
   ASSERT_EQ(rows.size(), packets.size());
   for (std::size_t i = 0; i < packets.size(); ++i) {
-    const FeatureRow expect = make_feature_row(packets[i], stats);
-    for (std::size_t f = 0; f < kFeatureCount; ++f)
-      EXPECT_DOUBLE_EQ(rows[i][f], expect[f]) << "row " << i << " feature " << f;
+    SCOPED_TRACE(i);
+    expect_rows_bit_equal(rows[i], reference_feature_row(packets[i], stats));
   }
 }
 
@@ -198,24 +274,70 @@ TEST(MakeFeatureRowsTest, OrderedVariantEmitsInGivenOrder) {
   const auto packets = random_window(4321, 50);
   RecordBatch batch;
   for (const auto& r : packets) batch.push_record(r);
-  const WindowStats stats = compute_window_stats(packets, kWindow);
+  const WindowStats stats = closed_stats(packets);
   std::vector<std::uint32_t> order;
   for (std::uint32_t i = static_cast<std::uint32_t>(batch.size()); i-- > 0;)
     order.push_back(i);
-  const auto rows = make_feature_rows(batch, order, stats);
-  ASSERT_EQ(rows.size(), order.size());
+  // Appends after whatever the vector already holds.
+  std::vector<FeatureRow> rows(1);
+  make_feature_rows(batch, order, stats, rows);
+  ASSERT_EQ(rows.size(), order.size() + 1);
   for (std::size_t i = 0; i < order.size(); ++i) {
-    const FeatureRow expect = make_feature_row(packets[order[i]], stats);
-    for (std::size_t f = 0; f < kFeatureCount; ++f)
-      EXPECT_DOUBLE_EQ(rows[i][f], expect[f]);
+    SCOPED_TRACE(i);
+    expect_rows_bit_equal(rows[i + 1], reference_feature_row(packets[order[i]], stats));
   }
+}
+
+// --------------------------------------------------------------------------
+// WindowBuffer and close_window
+// --------------------------------------------------------------------------
+
+TEST(WindowBufferTest, ArrivalCloseEmitsRowsInArrivalOrder) {
+  const auto packets = random_window(31, 200);
+  WindowBuffer buffer;
+  for (const auto& r : packets) buffer.add(r);
+  WindowBuffer* const buffers[] = {&buffer};
+  std::uint64_t rows_ns = 0;
+  const ClosedWindow closed = close_window(buffers, kWindow, &rows_ns);
+  ASSERT_EQ(closed.rows.size(), packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_rows_bit_equal(closed.rows[i], reference_feature_row(packets[i], closed.stats));
+    EXPECT_EQ(closed.truths[i], packets[i].is_malicious() ? 1 : 0);
+    EXPECT_EQ(closed.sources[i], packets[i].src_addr);
+  }
+  EXPECT_GT(rows_ns, 0u);
+  EXPECT_TRUE(buffer.empty());
+}
+
+TEST(WindowBufferTest, ClearKeepsTheCanonicalOrder) {
+  // Two windows of the same records, tie runs shuffled differently: a
+  // canonical buffer closes both to identical stats and rows, so the
+  // mode survived the first close's clear().
+  const auto packets = random_window(77, 300);
+  WindowBuffer buffer{WindowBuffer::Order::kCanonical};
+  WindowBuffer* const buffers[] = {&buffer};
+  for (const auto& r : shuffle_within_ties(packets, 1)) buffer.add(r);
+  const ClosedWindow first = close_window(buffers, kWindow);
+  for (const auto& r : shuffle_within_ties(packets, 2)) buffer.add(r);
+  const ClosedWindow second = close_window(buffers, kWindow);
+  expect_stats_bit_equal(first.stats, second.stats);
+  ASSERT_EQ(first.rows.size(), second.rows.size());
+  for (std::size_t i = 0; i < first.rows.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_rows_bit_equal(first.rows[i], second.rows[i]);
+  }
+}
+
+TEST(WindowBufferTest, CloseRejectsAnEmptyBufferList) {
+  EXPECT_THROW(close_window({}, kWindow), std::invalid_argument);
 }
 
 TEST(CanonicalBatchOrderTest, SortsWithinTimestampRunsOnly) {
   RecordBatch batch;
   const auto packets = random_window(777, 400);
   for (const auto& r : packets) batch.push_record(r);
-  const auto order = canonical_batch_order(batch, 0, batch.size());
+  const auto order = canonical_batch_order(batch);
   ASSERT_EQ(order.size(), batch.size());
   // A permutation...
   std::vector<std::uint32_t> sorted{order.begin(), order.end()};

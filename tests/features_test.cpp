@@ -8,9 +8,10 @@
 #include <tuple>
 
 #include "capture/dataset.hpp"
+#include "capture/record_batch.hpp"
 #include "features/extractor.hpp"
 #include "features/schema.hpp"
-#include "features/window_stats.hpp"
+#include "features/window_accumulator.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -53,6 +54,23 @@ PacketRecord udp_packet(std::int64_t t_ms, std::uint16_t dport, std::uint32_t pa
   r.origin = net::TrafficOrigin::kMiraiUdpFlood;
   r.label = net::TrafficClass::kMalicious;
   return r;
+}
+
+/// The window statistics of `packets`, folded in order through the
+/// streaming accumulator the whole pipeline uses.
+WindowStats window_stats(std::span<const PacketRecord> packets, SimTime window_duration) {
+  WindowAccumulator acc{packets.size()};
+  for (const auto& r : packets) acc.add(r);
+  return acc.finalize(window_duration);
+}
+
+/// The feature row the row builder makes for `record` under `stats`.
+FeatureRow feature_row(const PacketRecord& record, const WindowStats& stats) {
+  capture::RecordBatch batch;
+  batch.push_record(record);
+  std::vector<FeatureRow> rows;
+  make_feature_rows(batch, {}, stats, rows);
+  return rows.front();
 }
 
 // --------------------------------------------------------------------------
@@ -98,8 +116,7 @@ TEST(SchemaTest, ToStreamingOrderPermutesValues) {
 TEST(BasicFeaturesTest, ValuesAndNormalisation) {
   const auto r = tcp_packet(2500, net::Ipv4Address(10, 0, 0, 7).bits(), 50000, 80,
                             net::TcpFlags::kSyn, 444);
-  FeatureRow row{};
-  fill_basic_features(r, row);
+  const FeatureRow row = feature_row(r, WindowStats{});
   EXPECT_DOUBLE_EQ(row[kTimestamp], 2.5);
   EXPECT_NEAR(row[kSrcAddr], net::Ipv4Address(10, 0, 0, 7).bits() / 4294967296.0, 1e-12);
   EXPECT_DOUBLE_EQ(row[kProtoIsTcp], 1.0);
@@ -113,14 +130,14 @@ TEST(BasicFeaturesTest, ValuesAndNormalisation) {
 // --------------------------------------------------------------------------
 
 TEST(WindowStatsTest, EmptyWindowIsAllZero) {
-  const WindowStats stats = compute_window_stats({}, SimTime::seconds(1));
+  const WindowStats stats = window_stats({}, SimTime::seconds(1));
   EXPECT_EQ(stats.packet_count, 0u);
   EXPECT_EQ(stats.byte_rate, 0.0);
   EXPECT_EQ(stats.dst_port_entropy, 0.0);
 }
 
 TEST(WindowStatsTest, RejectsNonPositiveWindow) {
-  EXPECT_THROW(compute_window_stats({}, SimTime::seconds(0)), std::invalid_argument);
+  EXPECT_THROW(window_stats({}, SimTime::seconds(0)), std::invalid_argument);
 }
 
 TEST(WindowStatsTest, PacketCountAndByteRate) {
@@ -128,7 +145,7 @@ TEST(WindowStatsTest, PacketCountAndByteRate) {
   for (int i = 0; i < 10; ++i) {
     packets.push_back(tcp_packet(i, 1, 1000, 80, net::TcpFlags::kAck, 60));  // 100 wire
   }
-  const WindowStats stats = compute_window_stats(packets, SimTime::seconds(1));
+  const WindowStats stats = window_stats(packets, SimTime::seconds(1));
   EXPECT_EQ(stats.packet_count, 10u);
   EXPECT_DOUBLE_EQ(stats.byte_rate, 1000.0);  // 10 x 100 bytes / 1 s
   EXPECT_DOUBLE_EQ(stats.mean_payload, 60.0);
@@ -140,8 +157,8 @@ TEST(WindowStatsTest, DstPortEntropyUniformVsConcentrated) {
     uniform.push_back(udp_packet(i, static_cast<std::uint16_t>(9000 + i), 100));
     focused.push_back(udp_packet(i, 9000, 100));
   }
-  const auto u = compute_window_stats(uniform, SimTime::seconds(1));
-  const auto f = compute_window_stats(focused, SimTime::seconds(1));
+  const auto u = window_stats(uniform, SimTime::seconds(1));
+  const auto f = window_stats(focused, SimTime::seconds(1));
   EXPECT_NEAR(u.dst_port_entropy, 6.0, 1e-9);  // log2(64)
   EXPECT_EQ(f.dst_port_entropy, 0.0);
   EXPECT_GT(u.dst_port_entropy, f.dst_port_entropy);
@@ -154,13 +171,13 @@ TEST(WindowStatsTest, SynNoAckRatioCountsOnlyBareSyns) {
       tcp_packet(1, 1, 80, 1000, net::TcpFlags::kSyn | net::TcpFlags::kAck, 0));  // no
   packets.push_back(tcp_packet(2, 1, 1000, 80, net::TcpFlags::kAck, 100));        // no
   packets.push_back(tcp_packet(3, 2, 2000, 80, net::TcpFlags::kSyn, 0));          // counts
-  const auto stats = compute_window_stats(packets, SimTime::seconds(1));
+  const auto stats = window_stats(packets, SimTime::seconds(1));
   EXPECT_DOUBLE_EQ(stats.syn_no_ack_ratio, 0.5);
 }
 
 TEST(WindowStatsTest, SynRatioZeroWithoutTcp) {
   std::vector<PacketRecord> packets{udp_packet(0, 9000, 100)};
-  const auto stats = compute_window_stats(packets, SimTime::seconds(1));
+  const auto stats = window_stats(packets, SimTime::seconds(1));
   EXPECT_EQ(stats.syn_no_ack_ratio, 0.0);
   EXPECT_DOUBLE_EQ(stats.udp_fraction, 1.0);
 }
@@ -176,13 +193,13 @@ TEST(WindowStatsTest, ShortLivedFlowsCountsSmallFlows) {
     packets.push_back(
         tcp_packet(10 + i, 2, static_cast<std::uint16_t>(5000 + i), 80, net::TcpFlags::kSyn, 0));
   }
-  const auto stats = compute_window_stats(packets, SimTime::seconds(1));
+  const auto stats = window_stats(packets, SimTime::seconds(1));
   EXPECT_DOUBLE_EQ(stats.short_lived_flows, 3.0);
 }
 
 /// Reference window statistics with plain tree-map flow tallies, written
 /// independently of WindowAccumulator's open-addressing tables — the
-/// oracle compute_window_stats must match bit for bit.
+/// oracle the accumulator must match bit for bit.
 WindowStats reference_window_stats(std::span<const PacketRecord> packets,
                                    SimTime window_duration) {
   std::map<std::tuple<std::uint32_t, std::uint32_t, std::uint16_t, std::uint16_t, std::uint8_t>,
@@ -258,7 +275,7 @@ TEST(WindowStatsTest, ReferenceCountersMatchFlatCountersBitForBit) {
     }
   }
 
-  const WindowStats flat = compute_window_stats(packets, SimTime::seconds(1));
+  const WindowStats flat = window_stats(packets, SimTime::seconds(1));
   const WindowStats reference = reference_window_stats(packets, SimTime::seconds(1));
 
   // The flat counters sort before summing entropy precisely so the two
@@ -282,7 +299,7 @@ TEST(WindowStatsTest, RepeatedAttemptsNeedThreeSyns) {
         tcp_packet(i, 7, static_cast<std::uint16_t>(1000 + i), 80, net::TcpFlags::kSyn, 0));
   }
   packets.push_back(tcp_packet(5, 8, 2000, 80, net::TcpFlags::kSyn, 0));  // only one
-  const auto stats = compute_window_stats(packets, SimTime::seconds(1));
+  const auto stats = window_stats(packets, SimTime::seconds(1));
   EXPECT_DOUBLE_EQ(stats.repeated_attempts, 1.0);
 }
 
@@ -295,8 +312,8 @@ TEST(WindowStatsTest, SeqVarianceLowForStreamHighForRandom) {
     random.push_back(tcp_packet(i, 1, 1000, 80, net::TcpFlags::kAck, 100,
                                 static_cast<std::uint32_t>(rng.next_u64())));
   }
-  const auto s = compute_window_stats(stream, SimTime::seconds(1));
-  const auto r = compute_window_stats(random, SimTime::seconds(1));
+  const auto s = window_stats(stream, SimTime::seconds(1));
+  const auto r = window_stats(random, SimTime::seconds(1));
   EXPECT_LT(s.seq_variance_log, 10.0);
   EXPECT_GT(r.seq_variance_log, 15.0);
 }
@@ -309,16 +326,16 @@ TEST(WindowStatsTest, SrcAddrEntropyDistinguishesSpoofing) {
     spoofed.push_back(tcp_packet(i, static_cast<std::uint32_t>(rng.next_u64()), 1000, 80,
                                  net::TcpFlags::kSyn, 0));
   }
-  const auto s = compute_window_stats(single, SimTime::seconds(1));
-  const auto f = compute_window_stats(spoofed, SimTime::seconds(1));
+  const auto s = window_stats(single, SimTime::seconds(1));
+  const auto f = window_stats(spoofed, SimTime::seconds(1));
   EXPECT_EQ(s.src_addr_entropy, 0.0);
   EXPECT_GT(f.src_addr_entropy, 6.0);
 }
 
 TEST(WindowStatsTest, StatsFillRowBlock) {
   std::vector<PacketRecord> packets{udp_packet(0, 9000, 100), udp_packet(1, 9001, 100)};
-  const auto stats = compute_window_stats(packets, SimTime::seconds(1));
-  const FeatureRow row = make_feature_row(packets[0], stats);
+  const auto stats = window_stats(packets, SimTime::seconds(1));
+  const FeatureRow row = feature_row(packets[0], stats);
   EXPECT_DOUBLE_EQ(row[kWinPacketCount], 2.0);
   EXPECT_DOUBLE_EQ(row[kWinUdpFraction], 1.0);
   EXPECT_DOUBLE_EQ(row[kWinDstPortEntropy], 1.0);  // two distinct ports
@@ -332,7 +349,7 @@ TEST(WindowStatsTest, StatsFillRowBlock) {
 
 TEST(WindowStatsTest, SinglePacketWindowIsFullyDefined) {
   std::vector<PacketRecord> packets{tcp_packet(250, 1, 1000, 80, net::TcpFlags::kSyn, 0, 7)};
-  const auto stats = compute_window_stats(packets, SimTime::seconds(1));
+  const auto stats = window_stats(packets, SimTime::seconds(1));
   EXPECT_EQ(stats.packet_count, 1u);
   EXPECT_DOUBLE_EQ(stats.byte_rate, 40.0);     // one 40-byte header per second
   EXPECT_DOUBLE_EQ(stats.dst_port_entropy, 0.0);
@@ -346,7 +363,7 @@ TEST(WindowStatsTest, SinglePacketWindowIsFullyDefined) {
 }
 
 TEST(WindowStatsTest, EmptyWindowStaysZeroWithAnyDuration) {
-  const auto stats = compute_window_stats({}, SimTime::millis(1));
+  const auto stats = window_stats({}, SimTime::millis(1));
   EXPECT_EQ(stats.packet_count, 0u);
   EXPECT_DOUBLE_EQ(stats.byte_rate, 0.0);
   EXPECT_DOUBLE_EQ(stats.udp_fraction, 0.0);

@@ -1,10 +1,12 @@
 // Tests for the off-thread inference engine and its RealTimeIds
 // integration: in-order verdict delivery, backpressure accounting, clean
-// shutdown with work in flight, offload-vs-inline report equality, and
-// the ResourceMeter's rate-limited RSS probe.
+// shutdown with work in flight, idle waits that burn no CPU,
+// offload-vs-inline report equality, and the ResourceMeter's rate-limited
+// RSS probe.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -110,6 +112,42 @@ TEST(InferenceEngineTest, DestructionWithOutstandingJobsIsClean) {
   auto engine = std::make_unique<InferenceEngine>(model);
   for (int i = 0; i < 6; ++i) engine->submit(one_row_matrix(i));
   engine.reset();  // must join the worker without hanging or crashing
+}
+
+/// CPU seconds of the whole process, every thread included.
+double process_cpu_s() { return static_cast<double>(std::clock()) / CLOCKS_PER_SEC; }
+
+/// Process CPU over wall time while `wait` runs. A side that spins while
+/// it waits keeps a core busy, so the ratio nears 1 or more.
+template <typename Fn>
+double cpu_share_while(Fn&& wait) {
+  const double cpu0 = process_cpu_s();
+  const auto wall0 = std::chrono::steady_clock::now();
+  wait();
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall0;
+  return (process_cpu_s() - cpu0) / wall.count();
+}
+
+TEST(InferenceEngineTest, IdleWorkerSleepsInsteadOfSpinning) {
+  EchoModel model;
+  InferenceEngine engine{model};
+  engine.submit(one_row_matrix(1.0));
+  engine.collect();  // the worker has started and gone idle again
+  const double share =
+      cpu_share_while([] { std::this_thread::sleep_for(std::chrono::milliseconds{200}); });
+  EXPECT_LT(share, 0.25);
+}
+
+TEST(InferenceEngineTest, BlockingCollectSleepsInsteadOfSpinning) {
+  // The model sleeps 200 ms in its batch, so neither thread has CPU work
+  // while collect() waits for the result.
+  EchoModel model{std::chrono::microseconds{200000}};
+  InferenceEngine engine{model};
+  engine.submit(one_row_matrix(3.0));
+  InferResult result;
+  const double share = cpu_share_while([&] { result = engine.collect(); });
+  EXPECT_EQ(result.verdicts, (ml::Verdicts{3}));
+  EXPECT_LT(share, 0.25);
 }
 
 // --------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 // Cross-module integration tests: the full capture → features → model →
 // IDS chain under varied configurations, dataset persistence round trips
-// through retraining, and all five detectors deployed end-to-end.
+// through retraining, all five detectors deployed end-to-end, and
+// train/serve row parity through the real Testbed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <filesystem>
 
 #include "core/pipeline.hpp"
+#include "core/testbed.hpp"
 #include "ml/feature_selection.hpp"
 #include "ml/isolation_forest.hpp"
 #include "ml/model_store.hpp"
@@ -45,6 +49,84 @@ struct SharedPipeline {
     return p;
   }
 };
+
+// --------------------------------------------------------------------------
+// Train/serve parity: the IDS scores exactly the rows training extracts.
+// --------------------------------------------------------------------------
+
+/// Calls every row benign and keeps a copy of each matrix it scores.
+class RecordingModel : public ml::Classifier {
+ public:
+  std::string name() const override { return "recording"; }
+  void fit(const ml::DesignMatrix&, const std::vector<int>&) override {}
+  int predict(std::span<const double>) const override { return 0; }
+  void score_batch(const ml::DesignMatrix& x, ml::Verdicts& out) const override {
+    scored.push_back(x);
+    out.assign(x.rows(), 0);
+  }
+  bool trained() const override { return true; }
+  void save(util::ByteWriter&) const override {}
+  void load(util::ByteReader&) override {}
+  std::uint64_t parameter_bytes() const override { return 0; }
+  std::uint64_t inference_scratch_bytes() const override { return 0; }
+
+  mutable std::vector<ml::DesignMatrix> scored;
+};
+
+TEST(TrainServeParityTest, ServedRowsEqualOfflineExtractionBitForBit) {
+  Testbed tb{tiny_scenario(27)};
+  tb.deploy();
+  tb.record_dataset();
+  RecordingModel model;
+  const ids::RealTimeIds& ids = tb.deploy_ids(model);
+  tb.run();
+
+  std::vector<features::WindowOutput> offline;
+  features::FeatureAggregator agg;
+  agg.set_on_window([&](const features::WindowOutput& w) { offline.push_back(w); });
+  for (const auto& r : tb.dataset().records()) agg.add(r);
+  agg.flush();
+
+  ASSERT_GT(offline.size(), 5u);
+  ASSERT_EQ(model.scored.size(), offline.size());
+  ASSERT_EQ(ids.reports().size(), offline.size());
+  for (std::size_t w = 0; w < offline.size(); ++w) {
+    SCOPED_TRACE(w);
+    EXPECT_EQ(ids.reports()[w].window_index, offline[w].window_index);
+    const ml::DesignMatrix& served = model.scored[w];
+    ASSERT_EQ(served.rows(), offline[w].rows.size());
+    for (std::size_t i = 0; i < served.rows(); ++i) {
+      for (std::size_t f = 0; f < features::kFeatureCount; ++f) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(served.row(i)[f]),
+                  std::bit_cast<std::uint64_t>(offline[w].rows[i][f]))
+            << "row " << i << " feature " << f;
+      }
+    }
+    EXPECT_EQ(ids.reports()[w].truth_malicious,
+              static_cast<std::uint64_t>(
+                  std::count(offline[w].labels.begin(), offline[w].labels.end(), 1)));
+  }
+}
+
+TEST(TrainServeParityTest, TrainingMatrixDigestIsPinned) {
+  // FNV-1a over every row's feature bit patterns, then every label, of the
+  // benchmark's training extraction: any change to the window path that
+  // moves one bit of the training matrix changes this value.
+  const features::FeatureMatrix fm =
+      features::extract_features(run_generation(training_scenario(1)).dataset);
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& row : fm.rows)
+    for (const double v : row) mix(std::bit_cast<std::uint64_t>(v));
+  for (const int label : fm.labels) mix(static_cast<std::uint64_t>(label));
+  EXPECT_EQ(fm.size(), 287605u);
+  EXPECT_EQ(h, 0xf925f5628b679254ULL);
+}
 
 // --------------------------------------------------------------------------
 // Every registered detector runs end-to-end in the IDS container.

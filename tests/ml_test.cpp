@@ -532,6 +532,45 @@ TEST(KMeansTest, SerializationRoundTrip) {
   EXPECT_LT(bytes.size(), 16 * 1024u);
 }
 
+// A K-Means payload in save()'s field order over a fitted two-feature
+// scaler: one all-0.5 centroid per entry of `widths`, `proportions`
+// mixing weights, and the given cluster labels.
+std::vector<std::uint8_t> kmeans_payload(const std::vector<std::size_t>& widths,
+                                         std::size_t proportions,
+                                         const std::vector<std::uint32_t>& labels) {
+  DesignMatrix x{2};
+  x.add_row(std::vector<double>{0.0, 1.0});
+  x.add_row(std::vector<double>{2.0, 3.0});
+  StandardScaler scaler;
+  scaler.fit(x);
+  util::ByteWriter w;
+  scaler.save(w);
+  w.put_u64(widths.size());
+  for (const std::size_t width : widths) w.put_f64_span(std::vector<double>(width, 0.5));
+  w.put_f64_span(std::vector<double>(proportions, 0.5));
+  w.put_u64(labels.size());
+  for (const std::uint32_t label : labels) w.put_u32(label);
+  return w.bytes();
+}
+
+TEST(KMeansTest, LoadRejectsCentroidsLabelsAndProportionsPredictCannotServe) {
+  const auto loads = [](const std::vector<std::uint8_t>& bytes) {
+    KMeansDetector km;
+    util::ByteReader r{bytes};
+    km.load(r);
+    return km.predict(std::vector<double>{1.0, 2.0});
+  };
+  EXPECT_EQ(loads(kmeans_payload({2, 2}, 2, {0, 1})), 0);
+  // A centroid narrower than the scaler: before load() checked widths,
+  // predict() read past its end (ASan heap-buffer-overflow).
+  EXPECT_THROW(loads(kmeans_payload({2, 1}, 2, {0, 1})), std::invalid_argument);
+  EXPECT_THROW(loads(kmeans_payload({2, 3}, 2, {0, 1})), std::invalid_argument);
+  EXPECT_THROW(loads(kmeans_payload({2, 2}, 2, {0, 2})), std::invalid_argument);
+  EXPECT_THROW(loads(kmeans_payload({2, 2}, 2, {-1u, 0})), std::invalid_argument);
+  EXPECT_THROW(loads(kmeans_payload({2, 2}, 3, {0, 1})), std::invalid_argument);
+  EXPECT_THROW(loads(kmeans_payload({2, 2}, 1, {0, 1})), std::invalid_argument);
+}
+
 // --------------------------------------------------------------------------
 // Cnn1D
 // --------------------------------------------------------------------------
