@@ -91,8 +91,6 @@ void ShardIdsPipeline::arm() {
     // detection lag and trip the SLO before any traffic flows.
     m_window_rows_->set(0.0);
     m_detect_lag_p99_->set(0.0);
-    if (config_.offload_inference)
-      engine_ = std::make_unique<ids::InferenceEngine>(model_);
   }
   mitigate::VerdictPolicy::Hooks hooks;
   hooks.install_acl = [this](std::uint32_t src) {
@@ -164,16 +162,9 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
     for (const double v : row) fnv_mix(row_digest_, std::bit_cast<std::uint64_t>(v));
   }
 
-  // 3. Score: inline on this (shard 0) thread, or on the engine's scoring
-  //    thread — submitted and collected at the boundary, so the verdict
-  //    stream is identical either way.
+  // 3. Score inline on this (shard 0) thread.
   ml::Verdicts verdicts;
-  if (engine_) {
-    engine_->submit(std::move(x));
-    verdicts = engine_->collect().verdicts;
-  } else {
-    model_.score_batch(x, verdicts);
-  }
+  model_.score_batch(x, verdicts);
 
   std::uint64_t predicted = 0;
   std::uint64_t truth = 0;
@@ -220,7 +211,6 @@ void ShardIdsPipeline::close_window(util::SimTime now, std::uint64_t index) {
   m_window_rows_->set(static_cast<double>(rows));
   m_windows_closed_->inc();
   m_rows_->inc(rows);
-  if (engine_) engine_->publish_metrics();
 
   const auto wall1 = std::chrono::steady_clock::now();
   const auto close_ns =

@@ -7,10 +7,11 @@
 // nodes, device egress only), each folding into its own WindowBuffer on
 // the owning shard's thread as batches flush. At every window boundary the
 // fleet pauses at the ShardedSim sync hook and shard 0 closes all tap
-// buffers with one features::close_window, scores the merged rows (inline
-// or on the InferenceEngine), and walks the ids::source_verdicts slice
-// through the shared mitigate::VerdictPolicy, enforcing through every
-// cluster edge's EdgeFilter.
+// buffers with one features::close_window, scores the merged rows inline
+// (the fleet is parked, so a scoring thread would have nothing to overlap
+// with), and walks the ids::source_verdicts slice through the shared
+// mitigate::VerdictPolicy, enforcing through every cluster edge's
+// EdgeFilter.
 //
 // Determinism contract (DESIGN.md §15) — why the merged windows are
 // byte-identical across shard counts:
@@ -42,7 +43,6 @@
 #include "capture/tap.hpp"
 #include "core/shard_sim.hpp"
 #include "features/window_accumulator.hpp"
-#include "ids/infer_engine.hpp"
 #include "mitigate/mitigation.hpp"
 #include "mitigate/policy.hpp"
 #include "ml/classifier.hpp"
@@ -60,10 +60,6 @@ struct ShardIdsConfig {
   util::SimTime window = util::SimTime::millis(100);
   /// Captured packets per columnar batch before the fold runs.
   std::size_t tap_batch_capacity = 256;
-  /// Score merged windows on the InferenceEngine's dedicated thread
-  /// (submitted and collected at the boundary — verdicts identical to
-  /// inline scoring by the engine's FIFO determinism argument).
-  bool offload_inference = false;
   /// Walk verdicts through the VerdictPolicy and enforce on the
   /// registered edge filters. Off = detection-only (no ActionLog).
   bool mitigation = true;
@@ -126,7 +122,6 @@ class ShardIdsPipeline {
   // --- perf surface (wall clock; never part of equality) ------------------
   /// Wall nanoseconds per window close (merge + rows + score + policy).
   const std::vector<std::int64_t>& close_wall_ns() const { return close_wall_ns_; }
-  const ids::InferenceEngine* engine() const { return engine_.get(); }
 
  private:
   struct TapState;
@@ -141,7 +136,6 @@ class ShardIdsPipeline {
   std::vector<features::WindowBuffer*> tap_windows_;  // taps_' buffers, same order
   std::vector<mitigate::EdgeFilter*> filters_;
   mitigate::VerdictPolicy policy_;
-  std::unique_ptr<ids::InferenceEngine> engine_;
   bool armed_ = false;
 
   std::vector<ShardIdsWindow> windows_;

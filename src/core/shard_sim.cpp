@@ -275,13 +275,6 @@ void ShardedSim::add_sync_hook(util::SimTime period, std::function<void(util::Si
   hooks_.push_back(SyncHook{period.ns(), std::move(fn)});
 }
 
-void ShardedSim::set_sync_hook(util::SimTime period, std::function<void(util::SimTime)> fn) {
-  if (fn && period.ns() <= 0)
-    throw std::invalid_argument("ShardedSim: sync hook period must be positive");
-  hooks_.clear();
-  if (fn) hooks_.push_back(SyncHook{period.ns(), std::move(fn)});
-}
-
 void ShardedSim::run_until(util::SimTime until) {
   if (shards_.size() == 1) {
     net::Simulator& sim = *shards_[0]->sim;

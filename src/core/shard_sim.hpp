@@ -121,9 +121,6 @@ class ShardedSim {
   /// Periods must be positive. Call before run_until.
   void add_sync_hook(util::SimTime period, std::function<void(util::SimTime)> fn);
 
-  /// Legacy single-hook form: clears every registered hook, then (fn
-  /// non-null) registers exactly one. set_sync_hook(t, nullptr) clears.
-  void set_sync_hook(util::SimTime period, std::function<void(util::SimTime)> fn);
   std::size_t sync_hook_count() const { return hooks_.size(); }
 
   /// Effective lookahead the next run will use (zero until a cross-shard

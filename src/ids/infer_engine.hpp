@@ -2,39 +2,33 @@
 // the simulation (forwarding) thread.
 //
 // The simulation thread submits one job per closed window — a design
-// matrix of that window's feature rows — through a bounded lock-free SPSC
-// ring; a dedicated scoring thread pops jobs in FIFO order, runs the
-// model's batched score_batch kernel, and pushes the verdicts through a
-// second SPSC ring back to the simulation thread, which merges them in
+// matrix of that window's feature rows — to a util::FifoWorker; its one
+// scoring thread runs the model's batched score_batch kernel on each job
+// in FIFO order, and the simulation thread collects the verdicts in
 // submission order.
 //
-// Determinism argument (DESIGN.md §10): a single worker consuming a FIFO
-// ring processes jobs in exactly submission order; score_batch is a pure
-// function of (model, matrix) and bit-identical to the inline scalar
-// loop; results return through a FIFO ring. Therefore the verdict
+// Determinism argument (DESIGN.md §10): the worker runs jobs in exactly
+// submission order and returns results in that order (it checks the FIFO
+// property itself); score_batch is a pure function of (model, matrix) and
+// bit-identical to the inline scalar loop. Therefore the verdict
 // *sequence* is identical to inline scoring — only wall-clock timing
-// (which never feeds back into the simulation) differs. The engine
-// asserts the FIFO property by stamping each job with a sequence number
-// and refusing out-of-order results.
+// (which never feeds back into the simulation) differs.
 //
-// Thread rules: submit/try_collect/collect/drain and publish_metrics are
-// simulation-thread only; the worker touches nothing but the rings, the
-// const model, the wake-up word, and its RelaxedCounters (obs's
-// registry instruments are unsynchronised by design). An idle worker and
-// a blocking collect() sleep on C++20 atomic wait/notify instead of
-// spinning; only a back-pressured submit() yield-spins, while the worker
-// is busy.
+// Thread rules: submit/try_collect/collect and publish_metrics are
+// simulation-thread only; the job function touches nothing but the job,
+// the const model and the RelaxedCounter below (obs's registry
+// instruments are unsynchronised by design). Waiting follows the worker:
+// an idle engine costs no CPU, and only a back-pressured submit()
+// yield-spins.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 
 #include "ml/classifier.hpp"
 #include "ml/design_matrix.hpp"
 #include "obs/metrics.hpp"
-#include "util/spsc_ring.hpp"
+#include "util/fifo_worker.hpp"
 
 namespace ddoshield::ids {
 
@@ -60,7 +54,6 @@ class InferenceEngine {
  public:
   /// The model must stay trained and unmutated while the engine lives.
   explicit InferenceEngine(const ml::Classifier& model, InferEngineConfig config = {});
-  ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
   InferenceEngine& operator=(const InferenceEngine&) = delete;
@@ -84,7 +77,7 @@ class InferenceEngine {
   InferResult collect();
 
   /// Jobs submitted but not yet collected.
-  std::size_t outstanding() const { return submitted_ - collected_; }
+  std::size_t outstanding() const { return worker_.outstanding(); }
 
   struct Stats {
     std::uint64_t submitted = 0;
@@ -101,38 +94,21 @@ class InferenceEngine {
 
  private:
   struct Job {
-    std::uint64_t seq = 0;
     std::uint64_t submit_wall_ns = 0;
     ml::DesignMatrix x;
     std::shared_ptr<const ml::Classifier> model;  // null: construction-time model
   };
 
-  void worker_loop();
-  void stop_worker();
+  InferResult score(std::uint64_t seq, Job& job);
 
   const ml::Classifier& model_;
-  InferEngineConfig config_;
-  util::SpscRing<Job> jobs_;
-  util::SpscRing<InferResult> results_;
-  std::atomic<bool> stop_{false};
-  // Bumped on every job or result pushed, result slot freed, and stop.
-  std::atomic<std::uint32_t> wake_{0};
-
-  // Simulation-thread state.
-  std::uint64_t submitted_ = 0;
-  std::uint64_t collected_ = 0;
-  std::uint64_t backpressure_waits_ = 0;
-  std::uint64_t ring_high_water_ = 0;
   obs::Counter* m_backpressure_;
   obs::Counter* m_batches_;
   obs::Gauge* m_ring_depth_;
   obs::Histogram* m_batch_rows_;
+  obs::RelaxedCounter rows_scored_;  // worker-side
 
-  // Worker-thread state (published to the registry by the sim thread).
-  obs::RelaxedCounter completed_;
-  obs::RelaxedCounter rows_scored_;
-
-  std::thread worker_;  // last member: starts after everything it touches
+  util::FifoWorker<Job, InferResult> worker_;  // last member: its thread uses the rest
 };
 
 }  // namespace ddoshield::ids

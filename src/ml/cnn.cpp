@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #if defined(__SSE2__)
@@ -634,6 +635,7 @@ void Cnn1D::save(util::ByteWriter& w) const {
 }
 
 void Cnn1D::load(util::ByteReader& r) {
+  trained_ = false;  // until the file proved consistent
   scaler_.load(r);
   input_dim_ = r.get_u64();
   config_.filters = r.get_u64();
@@ -645,9 +647,24 @@ void Cnn1D::load(util::ByteReader& r) {
   dense1_b_ = r.get_f64_vector();
   dense2_w_ = r.get_f64_vector();
   dense2_b_ = r.get_f64_vector();
-  if (conv_w_.size() != config_.filters * config_.kernel ||
-      dense1_w_.size() != config_.hidden * flat_size() ||
-      dense2_w_.size() != 2 * config_.hidden) {
+  // predict() indexes every array by these dimensions: they must be
+  // nonzero (the kernel odd, as the constructor demands), the scaler as
+  // wide as the input, no product may wrap, and each array must hold
+  // exactly its product.
+  const std::size_t filters = config_.filters;
+  const std::size_t hidden = config_.hidden;
+  std::size_t conv_w = 0;
+  std::size_t conv_act = 0;
+  std::size_t flat = 0;
+  std::size_t dense1_w = 0;
+  if (input_dim_ == 0 || filters == 0 || hidden == 0 || config_.kernel % 2 == 0 ||
+      scaler_.mean().size() != input_dim_ ||
+      __builtin_mul_overflow(filters, config_.kernel, &conv_w) ||
+      __builtin_mul_overflow(filters, input_dim_, &conv_act) ||
+      __builtin_mul_overflow(filters, pooled_length(), &flat) ||
+      __builtin_mul_overflow(hidden, flat, &dense1_w) || hidden > SIZE_MAX / 2 ||
+      conv_w_.size() != conv_w || conv_b_.size() != filters || dense1_w_.size() != dense1_w ||
+      dense1_b_.size() != hidden || dense2_w_.size() != 2 * hidden || dense2_b_.size() != 2) {
     throw std::invalid_argument("Cnn1D::load: inconsistent model file");
   }
   trained_ = true;

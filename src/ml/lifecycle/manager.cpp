@@ -15,7 +15,7 @@ LifecycleManager::LifecycleManager(const Classifier& initial_model, std::size_t 
       drift_{features, config.drift},
       replay_{features, config.replay_capacity_rows,
               util::Rng{config.seed}.fork("lifecycle-replay")},
-      retrainer_{initial_model, config.retrainer},
+      retrainer_{initial_model},
       rng_{util::Rng{config.seed}.fork("lifecycle-manager")} {
   if (!initial_model.trained()) {
     throw std::logic_error("LifecycleManager: initial model must be trained");
@@ -36,11 +36,9 @@ std::shared_ptr<const Classifier> LifecycleManager::maybe_swap(std::uint64_t win
     pending_.pop_front();
     // Blocking wall-clock wait, zero sim time: the apply *window* was
     // fixed at trigger time from sim-domain state alone, so how long the
-    // worker takes never shows in the replay.
+    // worker takes never shows in the replay. Results come back in
+    // submission order, the order of pending_, so this one is `due`'s.
     RetrainResult res = retrainer_.collect();
-    if (res.version != due.version) {
-      throw std::logic_error("LifecycleManager: retrain results out of order");
-    }
     ++retrains_completed_;
     if (!res.updated) {
       ++retrain_noops_;  // model has no incremental path: keep serving the old one
@@ -78,8 +76,8 @@ void LifecycleManager::trigger_retrain(std::uint64_t window_index, bool drift_tr
   job.model_bytes = serialize_model(current_model());
   replay_.snapshot(job.x, job.y);
   job.rng = rng_.fork_stream("retrain", job.version);
-  pending_.push_back(PendingSwap{window_index + config_.apply_latency_windows, job.version,
-                                window_index, drift_triggered});
+  pending_.push_back(
+      PendingSwap{window_index + config_.apply_latency_windows, window_index, drift_triggered});
   retrainer_.submit(std::move(job));
   triggered_yet_ = true;
   last_trigger_window_ = window_index;

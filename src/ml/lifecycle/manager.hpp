@@ -36,7 +36,6 @@ struct LifecycleConfig {
   /// manager (zero threads, zero overhead).
   bool enabled = false;
   DriftConfig drift;
-  RetrainerConfig retrainer;
   /// Replay-buffer reservoir size (rows resident, the memory budget).
   std::size_t replay_capacity_rows = 4096;
   /// Periodic retrain cadence in windows; 0 = drift-alarms only.
@@ -120,7 +119,6 @@ class LifecycleManager {
 
   struct PendingSwap {
     std::uint64_t apply_window = 0;
-    std::uint64_t version = 0;
     std::uint64_t trigger_window = 0;
     bool drift_triggered = false;
   };

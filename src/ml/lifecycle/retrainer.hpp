@@ -1,10 +1,10 @@
 // Background model retraining off the simulation thread.
 //
-// Mirrors the ids::InferenceEngine shape: the simulation thread submits
-// RetrainJobs through a bounded SPSC ring; a single worker thread pops
-// them in FIFO order, rebuilds the base model from its serialized bytes,
-// applies Classifier::incremental_update under the job's forked Rng, and
-// pushes the finished model back through a second SPSC ring.
+// A util::FifoWorker whose job function rebuilds the base model from its
+// serialized bytes, adopts the deployment's runtime knobs and applies
+// Classifier::incremental_update under the job's forked Rng. The
+// simulation thread submits RetrainJobs and collects the finished models
+// in submission order.
 //
 // Determinism argument (DESIGN.md §14): the worker computes
 //   clone = deserialize(model_bytes); clone->incremental_update(x, y, rng)
@@ -17,29 +17,22 @@
 // RealTimeIds::finalize_windows_through.
 //
 // Thread rules: submit/try_collect/collect are simulation-thread only;
-// the worker touches nothing but the rings and its RelaxedCounters (the
-// ml layer keeps train/load paths registry-free; predict_batch, the only
-// instrumented ml entry point, is never called here).
+// the job function touches nothing but the job, the const deployment
+// reference and its RelaxedCounter (the ml layer keeps train/load paths
+// registry-free; predict_batch, the only instrumented ml entry point, is
+// never called here). An idle retrainer sleeps and costs no CPU.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <thread>
 
 #include "ml/classifier.hpp"
 #include "ml/design_matrix.hpp"
 #include "obs/metrics.hpp"
+#include "util/fifo_worker.hpp"
 #include "util/rng.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace ddoshield::ml::lifecycle {
-
-struct RetrainerConfig {
-  /// Jobs in flight (ring slots). Retrains are rare (every N windows at
-  /// most), so a full ring means the worker is severely behind; submit()
-  /// then spin-yields like the inference engine rather than dropping.
-  std::size_t ring_capacity = 4;
-};
 
 struct RetrainJob {
   std::uint64_t version = 0;         // version the finished model will carry
@@ -66,24 +59,23 @@ class Retrainer {
   /// clones adopt_deployment() from it so runtime knobs (the CNN int8
   /// switch) survive the serialize/deserialize round trip. Must outlive
   /// the retrainer.
-  explicit Retrainer(const Classifier& deployment_reference, RetrainerConfig config = {});
-  ~Retrainer();
+  explicit Retrainer(const Classifier& deployment_reference);
 
   Retrainer(const Retrainer&) = delete;
   Retrainer& operator=(const Retrainer&) = delete;
 
   /// Hands one retrain to the worker; spin-waits (never drops) on a full
   /// ring. Simulation-thread only.
-  void submit(RetrainJob job);
+  void submit(RetrainJob job) { worker_.submit(std::move(job)); }
 
   /// Non-blocking: pops the oldest finished retrain, if any.
-  bool try_collect(RetrainResult& out);
+  bool try_collect(RetrainResult& out) { return worker_.try_collect(out); }
 
   /// Blocking: waits for the oldest outstanding retrain (wall-clock only;
   /// zero sim-time cost — see the determinism argument above).
-  RetrainResult collect();
+  RetrainResult collect() { return worker_.collect(); }
 
-  std::size_t outstanding() const { return submitted_ - collected_; }
+  std::size_t outstanding() const { return worker_.outstanding(); }
 
   struct Stats {
     std::uint64_t submitted = 0;
@@ -93,23 +85,16 @@ class Retrainer {
   Stats stats() const;
 
  private:
-  void worker_loop();
+  /// Retrains are rare (every N windows at most), so a full ring means the
+  /// worker is severely behind.
+  static constexpr std::size_t kRingCapacity = 4;
+
+  RetrainResult retrain(RetrainJob& job);
 
   const Classifier& reference_;
-  RetrainerConfig config_;
-  util::SpscRing<RetrainJob> jobs_;
-  util::SpscRing<RetrainResult> results_;
-  std::atomic<bool> stop_{false};
+  obs::RelaxedCounter noops_;  // worker-side
 
-  // Simulation-thread state.
-  std::uint64_t submitted_ = 0;
-  std::uint64_t collected_ = 0;
-
-  // Worker-thread state.
-  obs::RelaxedCounter completed_;
-  obs::RelaxedCounter noops_;
-
-  std::thread worker_;  // last member: starts after everything it touches
+  util::FifoWorker<RetrainJob, RetrainResult> worker_;  // last member: its thread uses the rest
 };
 
 }  // namespace ddoshield::ml::lifecycle

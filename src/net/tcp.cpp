@@ -315,7 +315,7 @@ void TcpConnection::accept_payload(const Packet& pkt) {
   if (pkt.seq == rcv_nxt_) {
     rcv_nxt_ += pkt.payload_bytes;
     bytes_received_ += pkt.payload_bytes;
-    if (on_data_) on_data_(pkt.payload_bytes, pkt.app_data);
+    invoke(on_data_, pkt.payload_bytes, pkt.app_data);
     deliver_in_order();
     // Delayed ACK (RFC 1122): acknowledge every second in-order segment
     // immediately; hold the odd ones briefly like real stacks do.
@@ -351,7 +351,7 @@ void TcpConnection::deliver_in_order() {
     if (it->first == rcv_nxt_) {
       rcv_nxt_ += it->second.len;
       bytes_received_ += it->second.len;
-      if (on_data_) on_data_(it->second.len, it->second.app_data);
+      invoke(on_data_, it->second.len, it->second.app_data);
     }
     it = out_of_order_.erase(it);
     it = out_of_order_.begin();
@@ -384,7 +384,7 @@ void TcpConnection::on_segment(const Packet& pkt) {
         established_at_ = sim_.now();
         host_.m_handshakes_->inc();
         send_ack();
-        if (on_connected_) on_connected_();
+        invoke(on_connected_);
         try_transmit();
       }
       return;
@@ -427,7 +427,7 @@ void TcpConnection::on_segment(const Packet& pkt) {
         switch (state_) {
           case TcpState::kEstablished:
             state_ = TcpState::kCloseWait;
-            if (on_peer_fin_) on_peer_fin_();
+            invoke(on_peer_fin_);
             break;
           case TcpState::kFinWait1:
             state_ = fin_sent_ && snd_una_ == snd_nxt_ ? TcpState::kTimeWait
@@ -474,7 +474,19 @@ void TcpConnection::finish(TcpCloseReason reason) {
   }
   auto self = shared_from_this();  // survive map erasure below
   host_.remove_connection(*this);
-  if (on_closed_) on_closed_(reason);
+  // The connection is over, so it drops its callbacks, on_closed once it
+  // has run: apps capture their session in them and the session holds
+  // this connection, a cycle that would otherwise never be freed.
+  const ClosedFn on_closed = std::move(on_closed_);
+  release_callbacks();
+  if (on_closed) on_closed(reason);
+}
+
+void TcpConnection::release_callbacks() {
+  on_connected_ = nullptr;
+  on_data_ = nullptr;
+  on_closed_ = nullptr;
+  on_peer_fin_ = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -501,6 +513,16 @@ TcpHost::TcpHost(Node& node, TcpConfig cfg) : node_{node}, cfg_{cfg} {
   // reproducibility is the point, and within a run the secret is exactly as
   // unguessable to simulated peers as a random one.
   cookie_secret_ = 0x9e3779b97f4a7c15ull ^ (std::uint64_t{node.address().bits()} << 17);
+}
+
+TcpHost::~TcpHost() {
+  // Connections and listeners still open when their host goes away end
+  // with it. Their callbacks may hold the socket itself (an app session,
+  // a one-shot listener), so drop them to break those cycles.
+  for (auto& [key, conn] : connections_) conn->release_callbacks();
+  for (auto& [port, weak] : listeners_) {
+    if (auto listener = weak.lock()) listener->on_accept_ = nullptr;
+  }
 }
 
 void TcpHost::set_syn_cookies(bool on, std::size_t watermark) {

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "net/address.hpp"
 #include "net/packet.hpp"
@@ -156,6 +157,19 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void deliver_in_order();
   void enter_time_wait();
   void finish(TcpCloseReason reason);
+  void release_callbacks();
+
+  /// Runs a callback from a local, so finish() dropping the callbacks
+  /// cannot destroy the closure while it runs (a callback may abort its
+  /// own connection); puts it back unless the connection finished or the
+  /// callback installed a replacement.
+  template <typename Fn, typename... Args>
+  void invoke(Fn& callback, Args&&... args) {
+    if (!callback) return;
+    Fn running = std::move(callback);
+    running(std::forward<Args>(args)...);
+    if (!finished_ && !callback) callback = std::move(running);
+  }
 
   TcpHost& host_;
   Simulator& sim_;
@@ -236,6 +250,7 @@ class TcpListener {
 class TcpHost {
  public:
   TcpHost(Node& node, TcpConfig cfg = {});
+  ~TcpHost();
 
   /// Starts listening; `origin` labels stack-generated replies
   /// (SYN-ACKs, ACKs) of accepted connections.

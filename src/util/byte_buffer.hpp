@@ -72,9 +72,9 @@ class ByteReader {
 
   std::vector<double> get_f64_vector() {
     const auto n = get_u64();
-    check(n * sizeof(double));
+    check_elements(n, sizeof(double));
     std::vector<double> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(double));
+    if (n > 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(double));
     pos_ += n * sizeof(double);
     return v;
   }
@@ -100,8 +100,11 @@ class ByteReader {
     pos_ += sizeof(T);
     return v;
   }
-  void check(std::size_t n) const {
-    if (pos_ + n > data_.size()) throw std::out_of_range("ByteReader: truncated input");
+  // Both compare against what is left, so a huge length cannot wrap the
+  // bound it is checked against.
+  void check(std::size_t n) const { check_elements(n, 1); }
+  void check_elements(std::size_t count, std::size_t width) const {
+    if (count > remaining() / width) throw std::out_of_range("ByteReader: truncated input");
   }
 
   std::span<const std::uint8_t> data_;

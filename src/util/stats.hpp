@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <map>
-#include <vector>
 
 namespace ddoshield::util {
 
@@ -59,28 +58,6 @@ class FrequencyCounter {
 
  private:
   std::map<std::uint64_t, std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
-/// Fixed-bin histogram for experiment reporting (latency, goodput, ...).
-class Histogram {
- public:
-  /// Bins span [lo, hi) uniformly; samples outside clamp to the edge bins.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::uint64_t total() const { return total_; }
-  const std::vector<std::uint64_t>& bins() const { return bins_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
-  /// Linear-interpolated quantile estimate, q in [0,1].
-  double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> bins_;
   std::uint64_t total_ = 0;
 };
 

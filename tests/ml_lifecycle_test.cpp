@@ -5,7 +5,10 @@
 // model store.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <ctime>
+#include <thread>
 #include <vector>
 
 #include "ml/cnn.hpp"
@@ -463,6 +466,27 @@ TEST(RetrainerTest, DestructionWithOutstandingJobsIsClean) {
   auto retrainer = std::make_unique<Retrainer>(base);
   for (std::uint64_t v = 2; v < 6; ++v) retrainer->submit(make_job(base, x, y, v));
   retrainer.reset();  // must join without hanging or crashing
+}
+
+TEST(RetrainerTest, IdleWorkerSleepsInsteadOfSpinning) {
+  // Every IDS with the lifecycle enabled owns a retrainer that idles
+  // between rare retrains; a spinning worker would keep a core busy for
+  // the whole run.
+  LinearSvm base;
+  DesignMatrix x{3};
+  std::vector<int> y;
+  Rng rng{55};
+  make_blobs(50, 3, 3.0, rng, x, y);
+  base.fit(x, y);
+  Retrainer retrainer{base};
+  retrainer.submit(make_job(base, x, y, 2));
+  retrainer.collect();  // the worker has started and gone idle again
+  const double cpu0 = static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds{200});
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall0;
+  const double cpu = static_cast<double>(std::clock()) / CLOCKS_PER_SEC - cpu0;
+  EXPECT_LT(cpu / wall.count(), 0.1);
 }
 
 // --------------------------------------------------------------------------

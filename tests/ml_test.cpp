@@ -636,6 +636,92 @@ TEST(CnnTest, ParameterCountMatchesArchitecture) {
   EXPECT_EQ(cnn.parameter_count(), expected);
 }
 
+// A Cnn1D payload in load()'s field order, consistent by default (a
+// 4-wide input, 2 filters of kernel 3, 3 hidden units), so each case can
+// break one field.
+struct CnnPayload {
+  std::size_t scaler_width = 4;
+  std::uint64_t input_dim = 4;
+  std::uint64_t filters = 2;
+  std::uint64_t kernel = 3;
+  std::uint64_t hidden = 3;
+  std::size_t conv_w = 6;     // filters * kernel
+  std::size_t conv_b = 2;     // filters
+  std::size_t dense1_w = 12;  // hidden * filters * ceil(input_dim / 2)
+  std::size_t dense1_b = 3;   // hidden
+  std::size_t dense2_w = 6;   // 2 * hidden
+  std::size_t dense2_b = 2;
+
+  std::vector<std::uint8_t> bytes() const {
+    DesignMatrix x{scaler_width};
+    x.add_row(std::vector<double>(scaler_width, 0.0));
+    x.add_row(std::vector<double>(scaler_width, 1.0));
+    StandardScaler scaler;
+    scaler.fit(x);
+    util::ByteWriter w;
+    scaler.save(w);
+    w.put_u64(input_dim);
+    w.put_u64(filters);
+    w.put_u64(kernel);
+    w.put_u64(hidden);
+    for (const std::size_t n : {conv_w, conv_b, dense1_w, dense1_b, dense2_w, dense2_b})
+      w.put_f64_span(std::vector<double>(n, 0.25));
+    return w.bytes();
+  }
+};
+
+TEST(CnnTest, LoadRejectsShapesPredictCannotServe) {
+  const auto loads = [](const CnnPayload& p) {
+    Cnn1D cnn;
+    const std::vector<std::uint8_t> bytes = p.bytes();
+    util::ByteReader r{bytes};
+    cnn.load(r);
+    return cnn.predict(std::vector<double>{1.0, 2.0, 3.0, 4.0});
+  };
+  EXPECT_NO_THROW(loads(CnnPayload{}));
+  // An empty conv bias: before load() checked the biases, predict() read
+  // past it (segfault).
+  EXPECT_THROW(loads(CnnPayload{.conv_b = 0}), std::invalid_argument);
+  EXPECT_THROW(loads(CnnPayload{.conv_b = 3}), std::invalid_argument);
+  EXPECT_THROW(loads(CnnPayload{.dense1_b = 2}), std::invalid_argument);
+  EXPECT_THROW(loads(CnnPayload{.dense2_b = 1}), std::invalid_argument);
+  EXPECT_THROW(loads(CnnPayload{.scaler_width = 3}), std::invalid_argument);
+  EXPECT_THROW(loads(CnnPayload{.filters = 0, .conv_w = 0, .conv_b = 0, .dense1_w = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(loads(CnnPayload{.kernel = 0, .conv_w = 0}), std::invalid_argument);
+  EXPECT_THROW(loads(CnnPayload{.hidden = 0, .dense1_w = 0, .dense1_b = 0, .dense2_w = 0}),
+               std::invalid_argument);
+  // filters * kernel wraps to 0, which an empty conv_w would match.
+  EXPECT_THROW(loads(CnnPayload{.filters = std::uint64_t{1} << 62, .kernel = 4, .conv_w = 0}),
+               std::invalid_argument);
+  // hidden * flat wraps to 0, which an empty dense1_w would match.
+  EXPECT_THROW(loads(CnnPayload{.hidden = std::uint64_t{1} << 62, .dense1_w = 0}),
+               std::invalid_argument);
+}
+
+TEST(CnnTest, DeserializeRejectsAnEmptyConvBias) {
+  // The model-file header of a real CNN, then a hand-built payload.
+  DesignMatrix x{4};
+  std::vector<int> y;
+  Rng rng{22};
+  make_blobs(100, 4, 5.0, rng, x, y);
+  Cnn1D trained{CnnConfig{.filters = 2, .hidden = 3, .epochs = 1}};
+  trained.fit(x, y);
+  util::ByteWriter payload;
+  trained.save(payload);
+  std::vector<std::uint8_t> header = serialize_model(trained);
+  header.resize(header.size() - payload.bytes().size());
+  const auto model_file = [&header](const CnnPayload& p) {
+    std::vector<std::uint8_t> bytes = header;
+    const std::vector<std::uint8_t> body = p.bytes();
+    bytes.insert(bytes.end(), body.begin(), body.end());
+    return bytes;
+  };
+  const auto loaded = deserialize_model(model_file(CnnPayload{}));
+  EXPECT_NO_THROW(loaded->predict(x.row(0)));
+  EXPECT_THROW(deserialize_model(model_file(CnnPayload{.conv_b = 0})), std::invalid_argument);
+}
+
 // --------------------------------------------------------------------------
 // Model store
 // --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // teardown, RSTs, and the flood behaviours the testbed relies on.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -153,6 +154,60 @@ TEST_F(TcpFixture, GracefulCloseBothSidesReachClosed) {
   EXPECT_EQ(server_reason, TcpCloseReason::kGracefulClose);
   EXPECT_EQ(server->tcp().active_connections(), 0u);
   EXPECT_EQ(client->tcp().active_connections(), 0u);
+}
+
+TEST_F(TcpFixture, FinishedConnectionFreesCallbacksThatCaptureIt) {
+  // Apps keep a session alive through the connection's own callbacks; once
+  // the connection is finished, dropping the last outside reference must
+  // free it instead of leaving a reference cycle behind.
+  auto listener = server->tcp().listen(80);
+  std::weak_ptr<TcpConnection> server_side;
+  listener->set_on_accept([&](std::shared_ptr<TcpConnection> c) {
+    server_side = c;
+    c->set_on_data([c](std::uint32_t, const std::string&) {});
+    c->set_on_peer_fin([c] { c->close(); });
+    c->set_on_closed([c](TcpCloseReason) {});
+  });
+
+  bool client_closed = false;
+  auto conn = client->tcp().connect(server_ep(80), TrafficOrigin::kHttp);
+  conn->set_on_connected([conn] {
+    conn->send(100, "GET /");
+    conn->close();
+  });
+  conn->set_on_data([conn](std::uint32_t, const std::string&) {});
+  conn->set_on_peer_fin([conn] {});
+  conn->set_on_closed([conn, &client_closed](TcpCloseReason) { client_closed = true; });
+  const std::weak_ptr<TcpConnection> client_side = conn;
+  conn.reset();
+
+  net.simulator().run_until(SimTime::seconds(5));
+  EXPECT_TRUE(client_closed);
+  EXPECT_TRUE(client_side.expired());
+  EXPECT_TRUE(server_side.expired());
+}
+
+TEST_F(TcpFixture, CallbackThatAbortsItsOwnConnectionRunsToCompletion) {
+  // A data callback that aborts its own connection ends it (finish drops
+  // the callbacks) while that very closure is still running; the closure
+  // and its captures must stay alive until it returns.
+  auto listener = server->tcp().listen(80);
+  listener->set_on_accept([](std::shared_ptr<TcpConnection> c) { c->send(100, "hello"); });
+
+  auto conn = client->tcp().connect(server_ep(80), TrafficOrigin::kHttp);
+  auto log = std::make_shared<std::vector<std::string>>();
+  conn->set_on_data([conn, log](std::uint32_t, const std::string& m) {
+    conn->abort();
+    log->push_back(m);  // touches a capture after the abort
+  });
+  conn->set_on_closed([log](TcpCloseReason r) { log->push_back(to_string(r)); });
+  const std::weak_ptr<TcpConnection> client_side = conn;
+  conn.reset();
+
+  net.simulator().run_until(SimTime::seconds(5));
+  EXPECT_EQ(*log, (std::vector<std::string>{"aborted", "hello"}));
+  EXPECT_TRUE(client_side.expired());
+  EXPECT_EQ(log.use_count(), 1);
 }
 
 TEST_F(TcpFixture, DataBeforeCloseIsDeliveredThenFin) {

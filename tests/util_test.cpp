@@ -260,33 +260,6 @@ TEST(FrequencyCounterTest, CountsAndReset) {
 }
 
 // --------------------------------------------------------------------------
-// Histogram
-// --------------------------------------------------------------------------
-
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);    // bin 0
-  h.add(9.5);    // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(100.0);  // clamps to bin 9
-  EXPECT_EQ(h.bins()[0], 2u);
-  EXPECT_EQ(h.bins()[9], 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, QuantileOfUniformFill) {
-  Histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-}
-
-TEST(HistogramTest, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-// --------------------------------------------------------------------------
 // ByteWriter / ByteReader
 // --------------------------------------------------------------------------
 
